@@ -32,6 +32,10 @@ class InvalidConfig(ValueError):
     """Benchmark configuration out of range."""
 
 
+class BadKeyFile(InvalidConfig):
+    """A key file is truncated or holds a line that is not a key."""
+
+
 class VerificationFailed(RuntimeError):
     """A sorting run disagreed with the reference sort."""
 
@@ -311,17 +315,27 @@ def read_keys(path: str) -> tuple[list[int], int | None]:
     with open(path, "rb") as fh:
         head = fh.read(len(KEY_FILE_MAGIC))
         if head == KEY_FILE_MAGIC:
-            width = fh.read(1)[0]
+            header = fh.read(1)
+            if not header:
+                raise BadKeyFile("truncated key file: no width byte after the magic")
+            width = header[0]
             if width not in WIDTHS:
-                raise InvalidConfig(f"key file declares unsupported width {width}")
+                raise BadKeyFile(f"key file declares unsupported width {width}")
             fmt = {8: "<B", 16: "<H", 32: "<I", 64: "<Q"}[width]
             step = width // 8
             payload = fh.read()
             if len(payload) % step:
-                raise InvalidConfig("truncated binary key file")
+                raise BadKeyFile("truncated key file: partial value at the end")
             vals = [struct.unpack_from(fmt, payload, off)[0]
                     for off in range(0, len(payload), step)]
             return vals, width
+    vals = []
     with open(path, "r") as fh:
-        vals = [int(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, 1):
+            try:
+                vals.append(int(line))
+            except ValueError:
+                if line.strip():
+                    raise BadKeyFile(f"line {lineno}: not a decimal key: "
+                                     f"{line.strip()[:40]!r}") from None
     return vals, None

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .counters import OpCounters
 from .fusion_node import CAP_LIMIT, NodeError
+from .fusion_tree import multiplicity_sort
 from .trie import DuplicateKey
 from .wordops import WIDTHS, check_word
 
@@ -133,27 +134,8 @@ class BTree:
 def btree_sort_with_stats(values, *, width: int = 64, cap: int = 7,
                           signed: bool = False):
     """Insert-all-then-walk sort with a multiplicity side table."""
-    from .fusion_tree import _encode  # same signed mapping as the fusion sorter
-
-    tree = BTree(width=width, cap=cap)
-    counts: dict[int, int] = {}
-    for u in _encode(values, width, signed):
-        n = counts.get(u)
-        if n is None:
-            counts[u] = 1
-            tree.insert(u)
-        else:
-            counts[u] = n + 1
-    out: list[int] = []
-    top = 1 << (width - 1)
-    for u in tree.in_order():
-        v = u - top if signed else u
-        n = counts[u]
-        if n == 1:
-            out.append(v)
-        else:
-            out.extend([v] * n)
-    return out, tree
+    return multiplicity_sort(BTree(width=width, cap=cap), values,
+                             signed=signed)
 
 
 def btree_sort(values, *, width: int = 64, cap: int = 7,

@@ -16,10 +16,10 @@ import sys
 from .bench import (
     ALGOS,
     CSV_HEADER,
+    BadKeyFile,
     DISTS,
     BenchConfig,
     GoldenMismatch,
-    InvalidConfig,
     VerificationFailed,
     demo_walkthrough,
     generate,
@@ -35,11 +35,19 @@ from .bench import mergesort
 from .sketch import STRATEGIES
 from .wordops import WIDTHS
 
+EXIT_CODES = """exit codes:
+  0  success
+  1  a sort disagreed with the reference sort
+  2  invalid arguments, configuration or key file, or a deviating worked example
+  3  a file could not be read or written"""
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bench",
         description="Verified integer-sorting benchmark with word-op counting.",
+        epilog=EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--algo", choices=ALGOS, default="fusion")
     p.add_argument("--n", type=int, default=1000, help="number of keys to generate")
@@ -88,31 +96,36 @@ def _sort_file(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-
-    if args.demo:
-        try:
-            text = demo_walkthrough(dot_path=args.dot)
-        except GoldenMismatch as exc:
-            print(f"worked example DEVIATED: {exc}", file=sys.stderr)
-            return 2
-        print(text, end="")
-        return 0
-
     try:
-        if args.infile:
-            return _sort_file(args)
-
-        cfg = BenchConfig(algo=args.algo, n=args.n, seed=args.seed,
-                          dist=args.dist, width=args.width, cap=args.cap,
-                          trials=args.trials, strategy=args.strategy)
-        records = run(cfg)
-    except (InvalidConfig, ValueError) as exc:
+        return _run(args)
+    except GoldenMismatch as exc:
+        print(f"worked example DEVIATED: {exc}", file=sys.stderr)
+        return 2
+    except BadKeyFile as exc:
+        print(f"bad key file {args.infile}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:  # InvalidConfig and out-of-range keys
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
     except VerificationFailed as exc:
         print(f"verification FAILED: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return 3
 
+
+def _run(args) -> int:
+    if args.demo:
+        print(demo_walkthrough(dot_path=args.dot), end="")
+        return 0
+    if args.infile:
+        return _sort_file(args)
+
+    cfg = BenchConfig(algo=args.algo, n=args.n, seed=args.seed,
+                      dist=args.dist, width=args.width, cap=args.cap,
+                      trials=args.trials, strategy=args.strategy)
+    records = run(cfg)
     if args.csv:
         write_csv(args.csv, records)
     if args.out:

@@ -14,6 +14,9 @@ signed inputs through an order-preserving offset when asked to.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import repeat
+
 from .counters import OpCounters
 from .fusion_node import CAP_LIMIT, FusionNode, NodeError
 from .sketch import MULTIPLICATIVE, STRATEGIES
@@ -220,17 +223,31 @@ class FusionTree:
         return self.search(x)
 
 
-def _encode(values, width: int, signed: bool):
-    if not signed:
-        return values
-    top = 1 << (width - 1)
-    lo, hi = -top, top
-    out = []
-    for v in values:
-        if not lo <= v < hi:
-            raise NodeError(f"value {v} out of signed {width}-bit range")
-        out.append(v + top)
-    return out
+def multiplicity_sort(tree, values, *, signed: bool = False):
+    """Sort values through an empty tree: insert each distinct key once,
+    in first-occurrence order, then replay multiplicities along the
+    in-order walk.  Signed values map through the order-preserving
+    offset 2**(width-1).  Returns (sorted list, tree)."""
+    counts = Counter(values)  # one C pass; keeps first-occurrence order
+    if signed:
+        top = 1 << (tree.width - 1)
+        for v in counts:
+            if not -top <= v < top:
+                raise NodeError(f"value {v} out of signed {tree.width}-bit range")
+        counts = {v + top: n for v, n in counts.items()}
+    # Unsigned keys go in and come out as the caller's own int objects:
+    # offsetting by 0 would allocate a new big int per key.
+    for u in counts:
+        tree.insert(u)
+    out: list[int] = []
+    for u in tree.in_order():
+        v = u - top if signed else u
+        n = counts[u]
+        if n == 1:
+            out.append(v)
+        else:
+            out.extend(repeat(v, n))
+    return out, tree
 
 
 def fusion_sort_with_stats(values, *, width: int = 64, cap: int = 7,
@@ -238,25 +255,9 @@ def fusion_sort_with_stats(values, *, width: int = 64, cap: int = 7,
                            signed: bool = False):
     """Sort by inserting every distinct key and replaying multiplicities
     during the in-order walk.  Returns (sorted list, tree)."""
-    tree = FusionTree(width=width, cap=cap, strategy=strategy)
-    counts: dict[int, int] = {}
-    for u in _encode(values, width, signed):
-        n = counts.get(u)
-        if n is None:
-            counts[u] = 1
-            tree.insert(u)
-        else:
-            counts[u] = n + 1
-    out: list[int] = []
-    top = 1 << (width - 1)
-    for u in tree.in_order():
-        v = u - top if signed else u
-        n = counts[u]
-        if n == 1:
-            out.append(v)
-        else:
-            out.extend([v] * n)
-    return out, tree
+    return multiplicity_sort(
+        FusionTree(width=width, cap=cap, strategy=strategy), values,
+        signed=signed)
 
 
 def fusion_sort(values, *, width: int = 64, cap: int = 7,

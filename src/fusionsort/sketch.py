@@ -162,6 +162,8 @@ def find_multiplier(
         if not 0 <= b < width:
             raise SketchError(f"relevant bit {b} outside [0, {width})")
     r = len(bits)
+    if r > 16:  # _verified enumerates all 2**r patterns; nodes have <= 7 bits
+        raise NoValidMultiplier(f"{r} relevant bits are too many to verify")
     lcap = r * r
     if max_padded_length is not None:
         lcap = min(lcap, max_padded_length)
@@ -250,9 +252,7 @@ def _find_multiplier_cached(bits: tuple[int, ...], width: int, lcap: int):
 
 
 def _verified(bits_asc, width, result) -> bool:
-    # exhaustive self-check; pattern space is only enumerable up to 2**16
-    if len(bits_asc) > 16:
-        return True
+    assert len(bits_asc) <= 16, "find_multiplier refuses unverifiable bit counts"
     return _order_preserving(bits_asc, width, *result)
 
 

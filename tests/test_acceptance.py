@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 import time
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -223,20 +224,26 @@ def test_criterion_06_sort_correctness_at_scale():
 N_MILLION = 1_000_000
 
 
+TreeShape = namedtuple("TreeShape", "height splits")
+
+
+def _million_tree(cap):
+    rng = random.Random(77)
+    tree = FusionTree(width=64, cap=cap)
+    for _ in range(N_MILLION):
+        try:
+            tree.insert(rng.getrandbits(64))
+        except DuplicateKey:
+            pass
+    return TreeShape(tree.height, tree.splits)
+
+
 @pytest.fixture(scope="module")
 def million_trees():
-    rng = random.Random(77)
-    data = [rng.getrandbits(64) for _ in range(N_MILLION)]
-    trees = {}
-    for cap in (3, 5, 7):
-        tree = FusionTree(width=64, cap=cap)
-        for k in data:
-            try:
-                tree.insert(k)
-            except DuplicateKey:
-                pass
-        trees[cap] = tree
-    return trees
+    # the three capacities build in parallel; only the shapes come back
+    caps = (3, 5, 7)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        return dict(zip(caps, pool.map(_million_tree, caps)))
 
 
 def test_criterion_07_height_bound(million_trees):

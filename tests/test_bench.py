@@ -8,6 +8,7 @@ from fusionsort.bench import (
     ALGOS,
     CSV_HEADER,
     DISTS,
+    KEY_FILE_MAGIC,
     BenchConfig,
     InvalidConfig,
     demo_walkthrough,
@@ -18,6 +19,7 @@ from fusionsort.bench import (
     write_csv,
     write_keys,
 )
+from fusionsort.cli import main as cli_main
 from fusionsort.counters import OpCounters
 
 
@@ -203,3 +205,54 @@ def test_cli_sort_file(tmp_path):
     assert res.returncode == 0, res.stderr
     got, _ = read_keys(str(outp))
     assert got == [3, 3, 7, 9]
+
+
+def _cli_fails(capsys, code, *args):
+    """Run the CLI in-process; it must exit with code and one stderr line."""
+    assert cli_main(list(args)) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    return err
+
+
+def test_cli_magic_only_key_file(tmp_path, capsys):
+    path = tmp_path / "magic.bin"
+    path.write_bytes(KEY_FILE_MAGIC)
+    err = _cli_fails(capsys, 2, "--in", str(path))
+    assert "truncated key file" in err
+
+
+def test_cli_non_numeric_key_line(tmp_path, capsys):
+    path = tmp_path / "keys.txt"
+    path.write_text("9\n\n3\nseven\n1\n")
+    err = _cli_fails(capsys, 2, "--in", str(path))
+    assert err.startswith("bad key file") and "line 4" in err
+    assert "invalid configuration" not in err
+
+
+def test_cli_unwritable_dot(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.dot"
+    err = _cli_fails(capsys, 3, "--demo", "--dot", str(missing))
+    assert str(missing) in err
+
+
+def test_cli_unwritable_csv(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x.csv"
+    err = _cli_fails(capsys, 3, "--n", "50", "--csv", str(missing))
+    assert str(missing) in err
+
+
+def test_cli_unwritable_out(tmp_path, capsys):
+    missing = tmp_path / "missing" / "x"
+    err = _cli_fails(capsys, 3, "--n", "50", "--out", str(missing))
+    assert str(missing) in err
+
+
+def test_cli_help_lists_exit_codes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "exit codes:" in out
+    for code in "0123":
+        assert f"\n  {code}  " in out

@@ -111,6 +111,14 @@ def test_find_multiplier_window_cap():
         pass
 
 
+def test_find_multiplier_refuses_unverifiable_bit_counts():
+    # 17 contiguous bits would pass the single-shift case unchecked
+    with pytest.raises(NoValidMultiplier):
+        find_multiplier(range(17), 64)
+    s = scheme_from_bits(range(0, 63, 3), 64, MULTIPLICATIVE)
+    assert s.strategy == EXACT and s.fallback
+
+
 def test_scheme_fallback_flag():
     s = scheme_from_bits([0, 5, 10, 15, 20, 25], 64, MULTIPLICATIVE, max_padded_length=6)
     if s.strategy == EXACT:
