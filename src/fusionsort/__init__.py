@@ -9,8 +9,8 @@ Layers, bottom up:
 * sketch       -- order-preserving relevant-bit compression, exact and
                   single-multiplication variants
 * fusion_node  -- packed sketch word and constant-word-op in-node rank
-* fusion_tree  -- the full tree and its sorter
-* btree        -- linear-scan baseline tree and sorter
+* fusion_tree  -- shared tree skeleton with check(); packed-node tree, sorter
+* btree        -- linear-scan baseline node on that skeleton; its sorter
 * bench / cli  -- verified benchmark harness (`bench` console command)
 """
 
@@ -21,9 +21,7 @@ from .fusion_node import (
     MACHINE_WIDTH,
     CapacityExceeded,
     FusionNode,
-    KeyPresent,
     NodeError,
-    NodeFull,
 )
 from .fusion_tree import FusionTree, fusion_sort, fusion_sort_with_stats
 from .sketch import (
@@ -64,7 +62,7 @@ __all__ = [
     "BTree", "btree_sort", "btree_sort_with_stats",
     "OpCounters",
     "CAP_LIMIT", "MACHINE_WIDTH", "CapacityExceeded", "FusionNode",
-    "KeyPresent", "NodeError", "NodeFull",
+    "NodeError",
     "FusionTree", "fusion_sort", "fusion_sort_with_stats",
     "EXACT", "MULTIPLICATIVE", "NoValidMultiplier", "SchemeNotMultiplicative",
     "SketchError", "SketchScheme", "find_multiplier", "scheme_from_bits",

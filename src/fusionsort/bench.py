@@ -18,7 +18,7 @@ from .fusion_node import CAP_LIMIT, FusionNode
 from .fusion_tree import fusion_sort_with_stats
 from .sketch import EXACT, MULTIPLICATIVE, STRATEGIES
 from .trie import CompressedTrie
-from .wordops import WIDTHS
+from .wordops import WIDTHS, WordError, check_word
 
 ALGOS = ("fusion", "btree", "mergesort", "stdsort")
 DISTS = ("uniform", "sorted", "reverse", "clustered", "duplicates")
@@ -310,8 +310,9 @@ def write_keys(path: str, values, width: int, binary: bool = False) -> None:
                 fh.write(f"{v}\n")
 
 
-def read_keys(path: str) -> tuple[list[int], int | None]:
-    """Sniff the magic; returns (values, width from header or None for text)."""
+def read_keys(path: str, width: int = 64) -> tuple[list[int], int | None]:
+    """Sniff the magic; returns (values, width from header or None for text).
+    Text keys must be ``width``-bit words; binary files carry their width."""
     with open(path, "rb") as fh:
         head = fh.read(len(KEY_FILE_MAGIC))
         if head == KEY_FILE_MAGIC:
@@ -333,7 +334,9 @@ def read_keys(path: str) -> tuple[list[int], int | None]:
     with open(path, "r") as fh:
         for lineno, line in enumerate(fh, 1):
             try:
-                vals.append(int(line))
+                vals.append(check_word(int(line), width))
+            except WordError as exc:
+                raise BadKeyFile(f"line {lineno}: {exc}") from None
             except ValueError:
                 if line.strip():
                     raise BadKeyFile(f"line {lineno}: not a decimal key: "

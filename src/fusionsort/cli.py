@@ -73,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _sort_file(args) -> int:
-    values, file_width = read_keys(args.infile)
+    values, file_width = read_keys(args.infile, args.width)
     width = file_width or args.width
     sorters = {
         "fusion": lambda v: fusion_sort(v, width=width, cap=args.cap,

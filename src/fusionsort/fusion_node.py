@@ -15,15 +15,14 @@ The packed word may be wider than the key word (t blocks of
 padded-length+1 bits each); it always fits the 64-bit machine word,
 which bounds the node capacity at 8 keys.
 
-Nodes are immutable between mutations.  The sketch scheme and packed
-word are materialized lazily on first query after a mutation; the
+Nodes are immutable between mutations, which the owning tree makes by
+splicing ``keys`` and calling ``_invalidate()``.  The sketch scheme and
+packed word are materialized lazily on first query after a mutation; the
 rebuild is idempotent, so a racing pair of readers would simply compute
 the same state twice.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 from .counters import OpCounters
 from .sketch import MULTIPLICATIVE, STRATEGIES, _scheme_cached
@@ -41,14 +40,6 @@ class NodeError(ValueError):
 
 class CapacityExceeded(NodeError):
     """More keys than the node capacity allows."""
-
-
-class NodeFull(NodeError):
-    """Insert into a node already holding cap keys (caller must split)."""
-
-
-class KeyPresent(NodeError):
-    """Child lookup for a key stored in this very node."""
 
 
 class FusionNode:
@@ -361,31 +352,16 @@ class FusionNode:
             ops.key_compares += kc
         return res
 
-    def child_index(self, x: int, ops: OpCounters | None = None) -> int:
-        """Index of the child subtree whose key range contains x."""
-        r = self.rank(x, ops)
-        if r:
-            if ops is not None:
-                ops.key_compares += 1
-            if self.keys[r - 1] == x:
-                raise KeyPresent(f"key {x} is stored in this node")
-        return r
-
-    # -- mutation --------------------------------------------------------
-
-    def insert(self, x: int) -> "FusionNode":
-        """Add x, keeping keys sorted; sketches rebuild on next query."""
-        check_word(x, self.width)
-        keys = self.keys
-        if len(keys) >= self.cap:
-            raise NodeFull(f"node already holds {self.cap} keys")
-        i = bisect_left(keys, x)
-        if i < len(keys) and keys[i] == x:
-            raise DuplicateKey(f"duplicate key {x}")
-        keys.insert(i, x)
-        self.subtree_size += 1
-        self._invalidate()
-        return self
+    def locate(self, x: int, ops: OpCounters):
+        """(number of stored keys <= x, whether x is stored here): the
+        packed rank plus one charged key comparison to test membership."""
+        if self._scheme is None:
+            self._ensure()
+        i = self._rank(x, ops)
+        if i:
+            ops.key_compares += 1
+            return i, self.keys[i - 1] == x
+        return 0, False
 
     # -- introspection -----------------------------------------------------
 

@@ -1,11 +1,11 @@
-"""Balanced search tree of packed-sketch nodes, plus the derived sorter.
+"""The wide-node search tree, its packed-sketch variant, and the sorter.
 
 Shape and insertion follow the classic wide-node search tree: every
 leaf sits at the same depth, full nodes split around their median on
-the way down, and an in-order walk enumerates the keys sorted.  The
-difference from the baseline in btree.py is purely per node: the child
-branch for a key is found with a fixed number of word operations
-instead of a linear scan.
+the way down, and an in-order walk enumerates the keys sorted.
+``SearchTree`` holds all of that once; ``FusionTree`` and the baseline
+``BTree`` (btree.py) differ purely per node: a fixed number of word
+operations finds the child branch in one, a linear scan in the other.
 
 Each node also carries its subtree cardinality so that tree-level rank
 is exact.  Keys are unsigned words of the tree's width; the sorter maps
@@ -14,6 +14,7 @@ signed inputs through an order-preserving offset when asked to.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import repeat
 
@@ -24,25 +25,28 @@ from .trie import DuplicateKey
 from .wordops import WIDTHS, check_word
 
 
-class FusionTree:
-    """Single-writer, multi-reader tree; queries never mutate user state.
+class SearchTree:
+    """Wide-node tree skeleton; a subclass builds its nodes (``_new_node``).
 
+    A node offers ``keys``, ``children``, ``subtree_size``,
+    ``_invalidate()`` and one in-node search, ``locate(x, counters)``:
+    (number of keys <= x, whether x is stored there), charging its own
+    work.  Splits, descent, rank and the walk are shared, so two trees
+    fed the same insertion order split identically.
+
+    Single-writer, multi-reader; queries never mutate user state.
     Word-op and key-comparison charges accumulate on ``self.counters``;
     callers scope a measurement by snapshotting before and after.
     """
 
-    def __init__(self, *, width: int = 64, cap: int = 7,
-                 strategy: str = MULTIPLICATIVE):
+    def __init__(self, *, width: int = 64, cap: int = 7):
         if width not in WIDTHS:
             raise NodeError(f"unsupported width {width!r}")
         if not 3 <= cap <= CAP_LIMIT:
             raise NodeError(f"cap {cap} outside [3, {CAP_LIMIT}]")
-        if strategy not in STRATEGIES:
-            raise NodeError(f"unknown sketch strategy {strategy!r}")
         self.width = width
         self.cap = cap
-        self.strategy = strategy
-        self.root: FusionNode | None = None
+        self.root = None
         self.size = 0
         self.height = 0
         self.splits = 0
@@ -50,11 +54,7 @@ class FusionTree:
 
     # -- construction -----------------------------------------------------
 
-    def _new_node(self, keys_sorted: list[int]) -> FusionNode:
-        return FusionNode(keys_sorted, width=self.width, cap=self.cap,
-                          strategy=self.strategy, _sorted=True)
-
-    def _split_node(self, node: FusionNode):
+    def _split_node(self, node):
         """Split a full node around its median; returns (left, median, right)."""
         m = self.cap // 2
         ks = node.keys
@@ -64,10 +64,8 @@ class FusionTree:
         if node.children is not None:
             left.children = node.children[:m + 1]
             right.children = node.children[m + 1:]
-            left.subtree_size = len(left.keys) + sum(
-                c.subtree_size for c in left.children)
-            right.subtree_size = len(right.keys) + sum(
-                c.subtree_size for c in right.children)
+            left.subtree_size = m + sum(c.subtree_size for c in left.children)
+            right.subtree_size = node.subtree_size - left.subtree_size - 1
         self.splits += 1
         return left, median, right
 
@@ -76,8 +74,7 @@ class FusionTree:
         c = self.counters
         if self.root is None:
             self.root = self._new_node([x])
-            self.size = 1
-            self.height = 1
+            self.size = self.height = 1
             return
         if len(self.root.keys) == self.cap:
             left, median, right = self._split_node(self.root)
@@ -87,19 +84,11 @@ class FusionTree:
             self.root = root
             self.height += 1
         node = self.root
-        path = []
         while True:
-            if node._scheme is None:
-                node._ensure()
-            i = node._rank(x, c)
-            if i:
-                c.key_compares += 1
-                if node.keys[i - 1] == x:
-                    raise DuplicateKey(f"duplicate key {x}")
-            path.append(node)
+            i, member = node.locate(x, c)
+            if member:
+                raise self._duplicate(x)
             if node.children is None:
-                node.keys.insert(i, x)
-                node._invalidate()
                 break
             child = node.children[i]
             if len(child.keys) == self.cap:
@@ -109,14 +98,29 @@ class FusionTree:
                 node._invalidate()
                 c.key_compares += 1
                 if x == median:
-                    raise DuplicateKey(f"duplicate key {x}")
+                    raise self._duplicate(x)
                 if x > median:
                     i += 1
                 child = node.children[i]
+            # counted on the way down; _duplicate takes it back
+            node.subtree_size += 1
             node = child
-        for n in path:
-            n.subtree_size += 1
+        node.keys.insert(i, x)
+        node._invalidate()
+        node.subtree_size += 1
         self.size += 1
+
+    def _duplicate(self, x: int) -> DuplicateKey:
+        """Undo a failed insert's subtree-size bumps: an uncharged descent
+        decrements every strict ancestor of the node holding x."""
+        node = self.root
+        while True:
+            ks = node.keys
+            i = bisect_left(ks, x)
+            if i < len(ks) and ks[i] == x:
+                return DuplicateKey(f"duplicate key {x}")
+            node.subtree_size -= 1
+            node = node.children[i]
 
     # -- queries ----------------------------------------------------------
 
@@ -125,13 +129,9 @@ class FusionTree:
         c = self.counters
         node = self.root
         while node is not None:
-            if node._scheme is None:
-                node._ensure()
-            i = node._rank(x, c)
-            if i:
-                c.key_compares += 1
-                if node.keys[i - 1] == x:
-                    return True
+            i, member = node.locate(x, c)
+            if member:
+                return True
             node = node.children[i] if node.children is not None else None
         return False
 
@@ -143,20 +143,13 @@ class FusionTree:
         node = self.root
         total = 0
         while node is not None:
-            if node._scheme is None:
-                node._ensure()
-            i = node._rank(x, c)
+            i, member = node.locate(x, c)
             total += i
-            member = False
-            if i:
-                c.key_compares += 1
-                member = node.keys[i - 1] == x
             if node.children is None:
                 return total
-            if i:
-                c.word_ops += i
-                for ch in node.children[:i]:
-                    total += ch.subtree_size
+            c.word_ops += i
+            for ch in node.children[:i]:
+                total += ch.subtree_size
             if member:
                 return total
             node = node.children[i]
@@ -169,14 +162,11 @@ class FusionTree:
         node = self.root
         best = None
         while node is not None:
-            if node._scheme is None:
-                node._ensure()
-            i = node._rank(x, c)
+            i, member = node.locate(x, c)
+            if member:
+                return x
             if i:
                 best = node.keys[i - 1]  # deeper candidates are larger
-                c.key_compares += 1
-                if best == x:
-                    return x
             node = node.children[i] if node.children is not None else None
         return best
 
@@ -187,13 +177,9 @@ class FusionTree:
         node = self.root
         best = None
         while node is not None:
-            if node._scheme is None:
-                node._ensure()
-            i = node._rank(x, c)
-            if i:
-                c.key_compares += 1
-                if node.keys[i - 1] == x:
-                    return x
+            i, member = node.locate(x, c)
+            if member:
+                return x
             if i < len(node.keys):
                 best = node.keys[i]  # deeper candidates are smaller
             node = node.children[i] if node.children is not None else None
@@ -203,7 +189,7 @@ class FusionTree:
         """All keys, strictly increasing."""
         out: list[int] = []
 
-        def walk(n: FusionNode) -> None:
+        def walk(n) -> None:
             if n.children is None:
                 out.extend(n.keys)
                 return
@@ -221,6 +207,67 @@ class FusionTree:
 
     def __contains__(self, x: int) -> bool:
         return self.search(x)
+
+    # -- invariants -------------------------------------------------------
+
+    def check(self) -> None:
+        """Verify the structure; raise AssertionError naming the first
+        offending node's keys and depth.
+
+        Keys strictly increase between the separators above them; a node
+        holds at most cap keys and, below the root, at least
+        ceil(cap/2) - 1; an internal node has one child more than keys;
+        every leaf sits at depth ``height``; each ``subtree_size`` is
+        exact and ``size`` is the root's.
+        """
+        low = (self.cap + 1) // 2 - 1
+
+        def walk(node, depth, lo, hi) -> int:
+            ks, kids = node.keys, node.children
+            bounds = [lo, *ks, hi]
+            if not (1 if depth == 1 else low) <= len(ks) <= self.cap:
+                fault = f"{len(ks)} keys"
+            elif any(a >= b for a, b in zip(bounds, bounds[1:])):
+                fault = f"keys not strictly increasing between {lo} and {hi}"
+            elif (kids is None) != (depth == self.height):
+                fault = f"leaves must sit at depth {self.height}"
+            elif kids is not None and len(kids) != len(ks) + 1:
+                fault = f"{len(kids)} children"
+            else:
+                total = len(ks) + sum(
+                    walk(ch, depth + 1, bounds[i], bounds[i + 1])
+                    for i, ch in enumerate(kids or ()))
+                if node.subtree_size == total:
+                    return total
+                fault = f"subtree_size {node.subtree_size}, holds {total}"
+            raise AssertionError(f"node {ks} at depth {depth}: {fault}")
+
+        # the separators of the root are the ends of the key universe
+        total = walk(self.root, 1, -1, 1 << self.width) if self.root else 0
+        if total != self.size or (self.root is None) != (self.height == 0):
+            raise AssertionError(f"size {self.size}, height {self.height}, "
+                                 f"tree holds {total} keys")
+
+
+class FusionTree(SearchTree):
+    """The tree over packed-sketch nodes: in-node search is a constant
+    number of word operations."""
+
+    def __init__(self, *, width: int = 64, cap: int = 7,
+                 strategy: str = MULTIPLICATIVE):
+        super().__init__(width=width, cap=cap)
+        if strategy not in STRATEGIES:
+            raise NodeError(f"unknown sketch strategy {strategy!r}")
+        self.strategy = strategy
+
+    def _new_node(self, keys_sorted: list[int]) -> FusionNode:
+        return FusionNode(keys_sorted, width=self.width, cap=self.cap,
+                          strategy=self.strategy, _sorted=True)
+
+    # bound here too: perfbench's tracer patches through the class __dict__
+    insert, search, rank = SearchTree.insert, SearchTree.search, SearchTree.rank
+    predecessor, successor = SearchTree.predecessor, SearchTree.successor
+    in_order = SearchTree.in_order
 
 
 def multiplicity_sort(tree, values, *, signed: bool = False):

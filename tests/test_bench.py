@@ -230,6 +230,18 @@ def test_cli_non_numeric_key_line(tmp_path, capsys):
     assert "invalid configuration" not in err
 
 
+@pytest.mark.parametrize("text,line,key", [("5\n300\n", 2, 300),
+                                           ("\n-3\n7\n", 2, -3)])
+@pytest.mark.parametrize("algo", ALGOS)
+def test_cli_key_out_of_width(tmp_path, capsys, algo, text, line, key):
+    # every algorithm rejects the key before it runs, naming the line
+    path = tmp_path / "keys.txt"
+    path.write_text(text)
+    err = _cli_fails(capsys, 2, "--algo", algo, "--width", "8", "--in", str(path))
+    assert err == (f"bad key file {path}: line {line}: "
+                   f"value {key} out of range for a 8-bit word\n")
+
+
 def test_cli_unwritable_dot(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.dot"
     err = _cli_fails(capsys, 3, "--demo", "--dot", str(missing))

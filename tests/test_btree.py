@@ -8,35 +8,6 @@ from fusionsort.fusion_tree import FusionTree
 from fusionsort.trie import DuplicateKey
 
 
-def check_tree(tree: BTree):
-    if tree.root is None:
-        assert tree.size == 0 and tree.height == 0
-        return
-    depths = set()
-
-    def walk(node, depth, lo, hi):
-        keys = node.keys
-        assert keys == sorted(keys)
-        assert 1 <= len(keys) <= tree.cap
-        if node is not tree.root:
-            assert len(keys) >= (tree.cap + 1) // 2 - 1
-        if lo is not None:
-            assert keys[0] > lo
-        if hi is not None:
-            assert keys[-1] < hi
-        if node.children is None:
-            depths.add(depth)
-            return len(keys)
-        assert len(node.children) == len(keys) + 1
-        bounds = [lo] + keys + [hi]
-        return len(keys) + sum(
-            walk(ch, depth + 1, bounds[i], bounds[i + 1])
-            for i, ch in enumerate(node.children))
-
-    assert walk(tree.root, 1, None, None) == tree.size
-    assert depths == {tree.height}
-
-
 def test_split_promotes_median():
     # filling a 7-key node and adding one more: median goes up, halves of 3
     t = BTree(width=16, cap=7)
@@ -47,7 +18,7 @@ def test_split_promotes_median():
     assert t.height == 2
     assert t.root.keys == [83]
     assert [c.keys for c in t.root.children] == [[80, 81, 82], [84, 85, 86, 87]]
-    check_tree(t)
+    t.check()
 
 
 def test_insert_empty_then_duplicates():
@@ -69,7 +40,7 @@ def test_height_log_bound():
                 pass
         m = (cap + 1) // 2
         assert t.height <= math.ceil(math.log((t.size + 1) / 2, m)) + 1
-        check_tree(t)
+        t.check()
 
 
 def test_search_and_compare_counting():
@@ -95,7 +66,7 @@ def test_in_order_matches_sorted():
     for k in keys:
         t.insert(k)
     assert t.in_order() == sorted(keys)
-    check_tree(t)
+    t.check()
 
 
 def test_btree_sort():

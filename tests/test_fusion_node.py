@@ -6,13 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionsort.counters import OpCounters
-from fusionsort.fusion_node import (
-    CapacityExceeded,
-    FusionNode,
-    KeyPresent,
-    NodeError,
-    NodeFull,
-)
+from fusionsort.fusion_node import CapacityExceeded, FusionNode, NodeError
+from fusionsort.fusion_tree import FusionTree
 from fusionsort.sketch import EXACT, MULTIPLICATIVE
 from fusionsort.trie import CompressedTrie, DuplicateKey
 
@@ -222,13 +217,18 @@ def test_node_rank_hypothesis(keys, x):
     assert n.rank(x) == scan_rank(keys, x)
 
 
-def test_child_index():
+def test_locate():
     n = golden_node()
-    assert n.child_index(0) == 0
-    assert n.child_index(0xFFFF) == 4
-    assert n.child_index(230) == 3  # strictly between 225 and 254
-    with pytest.raises(KeyPresent):
-        n.child_index(225)
+    ops = OpCounters()
+    assert n.locate(0, ops) == (0, False)
+    assert n.locate(0xFFFF, ops) == (4, False)
+    assert n.locate(230, ops) == (3, False)  # strictly between 225 and 254
+    assert n.locate(225, ops) == (3, True)
+    rank_ops, locate_ops = OpCounters(), OpCounters()
+    golden_node().rank(X8, rank_ops)
+    golden_node().locate(X8, locate_ops)
+    assert locate_ops.word_ops == rank_ops.word_ops
+    assert locate_ops.key_compares == rank_ops.key_compares + 1  # membership
     rng = random.Random(47)
     for _ in range(200):
         keys = sorted(rng.sample(range(1 << 16), 5))
@@ -238,17 +238,24 @@ def test_child_index():
         if hi - lo < 2:
             continue
         x = rng.randrange(lo + 1, hi)
-        assert n.child_index(x) == i + 1
+        assert n.locate(x, ops) == (i + 1, False)
+        assert n.locate(hi, ops) == (i + 2, True)
 
 
 def test_node_insert_rebuilds():
-    n = FusionNode([9], width=8)
-    n.insert(13)
-    assert n.keys == [9, 13]
-    assert n.scheme.relevant_bits == ((9 ^ 13).bit_length() - 1,)
-    g = golden_node()
+    # the tree splices keys into a materialized node; the next query rebuilds
+    t = FusionTree(width=8, cap=7)
+    t.insert(9)
+    assert t.root.node_word == 1
+    t.insert(13)
+    assert t.root.keys == [9, 13]
+    assert t.root.scheme.relevant_bits == ((9 ^ 13).bit_length() - 1,)
+    g = FusionTree(width=16, cap=7, strategy=EXACT)
+    for k in KEYS8:
+        g.insert(k)
+    assert g.root.node_word == 48350
     g.insert(X8)
-    assert g.scheme.relevant_bits == (5, 4, 2, 0)
+    assert g.root.scheme.relevant_bits == (5, 4, 2, 0)
 
 
 def test_node_insert_order_independent():
@@ -256,20 +263,12 @@ def test_node_insert_order_independent():
     for _ in range(100):
         keys = rng.sample(range(1 << 16), 6)
         batch = FusionNode(sorted(keys), width=16)
-        inc = FusionNode([keys[0]], width=16)
-        for k in keys[1:]:
-            inc.insert(k)
+        t = FusionTree(width=16, cap=7)
+        for k in keys:
+            t.insert(k)
+        inc = t.root  # six keys: no split
         assert inc.node_word == batch.node_word
         assert inc.keys == batch.keys
-
-
-def test_node_insert_errors():
-    n = FusionNode(list(range(7)), width=8, cap=7)
-    with pytest.raises(NodeFull):
-        n.insert(100)
-    n2 = FusionNode([2, 4], width=8, cap=7)
-    with pytest.raises(DuplicateKey):
-        n2.insert(4)
 
 
 def test_node_rank_agrees_with_trie_exhaustive_pool():

@@ -5,44 +5,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionsort.btree import BTree
 from fusionsort.fusion_node import NodeError
 from fusionsort.fusion_tree import FusionTree, fusion_sort, fusion_sort_with_stats
 from fusionsort.trie import DuplicateKey
 
 
-def check_tree(tree: FusionTree):
-    """Structural sweep: equal leaf depth, fill bounds, order, sizes."""
-    if tree.root is None:
-        assert tree.size == 0 and tree.height == 0
-        return
+def _corrupt_keys(t):
+    leaf = t.root.children[1]
+    leaf.keys[0], leaf.keys[1] = leaf.keys[1], leaf.keys[0]
+    return leaf.keys, 2, "not strictly increasing between"
 
-    depths = set()
 
-    def walk(node, depth, lo, hi):
-        keys = node.keys
-        assert keys == sorted(keys)
-        assert 1 <= len(keys) <= tree.cap
-        if node is not tree.root:
-            assert len(keys) >= (tree.cap + 1) // 2 - 1
-        if lo is not None:
-            assert keys[0] > lo
-        if hi is not None:
-            assert keys[-1] < hi
-        total = len(keys)
-        if node.children is None:
-            depths.add(depth)
-        else:
-            assert len(node.children) == len(keys) + 1
-            bounds = [lo] + keys + [hi]
-            for i, ch in enumerate(node.children):
-                total += walk(ch, depth + 1, bounds[i], bounds[i + 1])
-        assert node.subtree_size == total
-        return total
+def _corrupt_separator(t):
+    leaf = t.root.children[0]
+    leaf.keys[-1] = t.root.keys[0] + 1
+    return leaf.keys, 2, f"not strictly increasing between -1 and {t.root.keys[0]}"
 
-    n = walk(tree.root, 1, None, None)
-    assert n == tree.size
-    assert len(depths) == 1
-    assert depths.pop() == tree.height
+
+def _corrupt_fill(t):
+    leaf = t.root.children[0]
+    leaf.keys.pop()
+    return leaf.keys, 2, "2 keys"
+
+
+def _corrupt_children(t):
+    t.root.children.pop()
+    return t.root.keys, 1, f"{len(t.root.keys)} children"
+
+
+def _corrupt_height(t):
+    t.height += 1
+    return t.root.children[0].keys, 2, "leaves must sit at depth 3"
+
+
+def _corrupt_subtree_size(t):
+    t.root.subtree_size += 1
+    return t.root.keys, 1, "subtree_size"
+
+
+@pytest.mark.parametrize("tree_cls", [FusionTree, BTree])
+@pytest.mark.parametrize("corrupt", [_corrupt_keys, _corrupt_separator,
+                                     _corrupt_fill, _corrupt_children,
+                                     _corrupt_height, _corrupt_subtree_size])
+def test_check_names_offending_node(tree_cls, corrupt):
+    t = tree_cls(width=16, cap=7)
+    for k in range(0, 300, 10):
+        t.insert(k)
+    t.check()
+    assert t.height == 2
+    keys, depth, what = corrupt(t)
+    with pytest.raises(AssertionError) as exc:
+        t.check()
+    msg = str(exc.value)
+    assert f"node {keys} at depth {depth}" in msg and what in msg, msg
+
+
+@pytest.mark.parametrize("tree_cls", [FusionTree, BTree])
+def test_check_size_and_empty_tree(tree_cls):
+    t = tree_cls(width=16)
+    t.check()
+    t.size = 1
+    with pytest.raises(AssertionError, match="size 1, height 0, tree holds 0"):
+        t.check()
+    t = tree_cls(width=16)
+    t.insert(4)
+    t.size = 2
+    with pytest.raises(AssertionError, match="size 2, height 1, tree holds 1"):
+        t.check()
 
 
 def test_insert_single():
@@ -50,7 +80,7 @@ def test_insert_single():
     t.insert(5)
     assert t.size == 1 and t.height == 1
     assert t.in_order() == [5]
-    check_tree(t)
+    t.check()
 
 
 def test_insert_cap_plus_one_splits_root():
@@ -62,7 +92,7 @@ def test_insert_cap_plus_one_splits_root():
     assert t.root.keys[0] == 40  # median of the first seven promoted
     assert [len(c.keys) for c in t.root.children] == [3, 4]
     assert t.in_order() == [k * 10 for k in range(1, 9)]
-    check_tree(t)
+    t.check()
 
 
 def test_insert_duplicate_raises():
@@ -75,7 +105,26 @@ def test_insert_duplicate_raises():
     for k in (1, 3, 9):  # duplicates at any depth
         with pytest.raises(DuplicateKey):
             t.insert(k)
-    check_tree(t)
+    t.check()
+
+
+@pytest.mark.parametrize("tree_cls", [FusionTree, BTree])
+def test_duplicate_insert_keeps_sizes(tree_cls):
+    # every stored key re-inserted, including medians of full nodes that
+    # the descent splits before it finds the duplicate one level up
+    rng = random.Random(59)
+    t = tree_cls(width=16, cap=3)
+    keys = rng.sample(range(1 << 16), 300)
+    for k in keys:
+        t.insert(k)
+    splits = t.splits
+    for k in keys:
+        with pytest.raises(DuplicateKey):
+            t.insert(k)
+        t.check()
+        assert len(t) == len(keys)
+    assert t.splits > splits  # some duplicate met a full node first
+    assert t.in_order() == sorted(keys)
 
 
 def test_insert_random_invariants():
@@ -86,7 +135,7 @@ def test_insert_random_invariants():
         for k in keys:
             t.insert(k)
         assert t.in_order() == sorted(keys)
-        check_tree(t)
+        t.check()
 
 
 def test_search():
@@ -186,7 +235,7 @@ def test_in_order_small_mixed_set():
     for v in vals:
         t.insert(v)
     assert t.in_order() == sorted(vals)
-    check_tree(t)
+    t.check()
     # the sorter restores duplicates that the tree itself cannot hold
     assert fusion_sort(vals + [60], width=16, cap=3) == sorted(vals + [60])
 
@@ -226,7 +275,7 @@ def test_height_bound_shape():
         m = (cap + 1) // 2
         bound = math.ceil(math.log((t.size + 1) / 2, m)) + 1
         assert t.height <= bound
-        check_tree(t)
+        t.check()
 
 
 def test_split_amortization():
