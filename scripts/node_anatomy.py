@@ -3,13 +3,14 @@
 
 Prints the debug dump (keys, relevant bits, sketches, packed word), the
 compressed trie as DOT if asked, and traces one query through the
-subtract/mask/floor-lg pipeline.
+node's rank path, printing pass 1's subtract/mask/floor-lg values.
 
     python3 scripts/node_anatomy.py --keys 223 224 225 254 --width 16 --query 231
 """
 
 import argparse
 
+from fusionsort.counters import OpCounters
 from fusionsort.fusion_node import FusionNode
 from fusionsort.sketch import STRATEGIES
 from fusionsort.trie import CompressedTrie
@@ -29,16 +30,16 @@ def main() -> int:
     print(node.dump())
     if args.query is not None:
         x = args.query
-        wq = node.make_query_word(x)
-        diff = node.node_word - wq
-        masked = diff & node._top_mask
-        print(f"\nquery {x} (sketch {node.sketch_of(x)}):")
+        trace: dict = {}
+        rank, _ = node.locate(x, OpCounters(), trace)
+        wq = trace["sketch"] * node._unit
+        print(f"\nquery {x} (sketch {trace['sketch']}):")
         print(f"  query word     = {wq}")
-        print(f"  difference     = {diff}")
-        print(f"  masked         = {masked}")
-        print(f"  sketches below = {node.parallel_compare(x)}")
-        print(f"  shares prefix  = {node.node_trs(x)}")
-        print(f"  rank           = {node.rank(x)}")
+        print(f"  difference     = {node.node_word - wq}")
+        print(f"  masked         = {trace['survivors']}")
+        print(f"  sketches below = {trace['count']}")
+        print(f"  shares prefix  = {trace['selected']}")
+        print(f"  rank           = {rank}")
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(CompressedTrie(sorted(args.keys), width=args.width).to_dot())

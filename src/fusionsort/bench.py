@@ -240,9 +240,10 @@ def demo_walkthrough(dot_path: str | None = None) -> str:
     """Step-by-step packed-comparison trace with known-good intermediates.
 
     Builds the four-key demo node (16-bit packing, 4-bit blocks), runs
-    the subtract/mask/floor-lg pipeline for the demo query, and checks
-    every intermediate value exactly.  Raises GoldenMismatch on any
-    deviation.  Optionally writes the keys' compressed trie as DOT.
+    the demo query through the node's rank path, reads pass 1's
+    subtract/mask/floor-lg values from its trace, and checks every
+    intermediate value exactly.  Raises GoldenMismatch on any deviation.
+    Optionally writes the keys' compressed trie as DOT.
     """
     node = FusionNode(list(_DEMO_KEYS), width=16, cap=7, strategy=EXACT)
     x = _DEMO_QUERY
@@ -250,27 +251,29 @@ def demo_walkthrough(dot_path: str | None = None) -> str:
     lines.append(node.dump())
     lines.append("")
 
-    checks = []
-    sketches = tuple(node.sketches())
-    checks.append(("sketches", sketches, _DEMO_SKETCHES))
-    checks.append(("node word", node.node_word, _DEMO_NODE_WORD))
-    skx = node.sketch_of(x)
-    wq = node.make_query_word(x)
-    checks.append(("query word", wq, _DEMO_QUERY_WORD))
+    trace: dict = {}
+    node.locate(x, OpCounters(), trace)
+    skx = trace["sketch"]
+    wq = skx * node._unit
     diff = node.node_word - wq
-    checks.append(("difference", diff, _DEMO_DIFFERENCE))
-    survivors = diff & node._top_mask
-    checks.append(("masked survivors", survivors, _DEMO_SURVIVORS))
+    survivors = trace["survivors"]
     top = survivors.bit_length() - 1
-    checks.append(("survivor floor-lg", top, _DEMO_MSB))
-    answer = node.node_trs(x)
-    checks.append(("selected key", answer, _DEMO_ANSWER))
+    answer = trace["selected"]
+    checks = [
+        ("sketches", tuple(node.sketches()), _DEMO_SKETCHES),
+        ("node word", node.node_word, _DEMO_NODE_WORD),
+        ("query word", wq, _DEMO_QUERY_WORD),
+        ("difference", diff, _DEMO_DIFFERENCE),
+        ("masked survivors", survivors, _DEMO_SURVIVORS),
+        ("survivor floor-lg", top, _DEMO_MSB),
+        ("selected key", answer, _DEMO_ANSWER),
+    ]
 
     lines.append(f"query x        = {x:08b} ({x}), sk(x) = {skx:03b}")
     lines.append(f"query word     = {wq} (0 sk(x) per block)")
     lines.append(f"difference     = {node.node_word} - {wq} = {diff}")
     lines.append(f"masked         = {survivors} (separator positions only)")
-    lines.append(f"floor-lg       = b{top}  ->  block index {(node._word_bits - 1 - top) // node.block_size}")
+    lines.append(f"floor-lg       = b{top}  ->  block index {trace['count']}")
     lines.append(f"selected key   = {answer:08b} ({answer})")
     lines.append("")
 

@@ -11,6 +11,17 @@ block sketch is smaller than sk(x); masking the separator positions and
 taking floor(lg) of the survivor word therefore counts the node sketches
 below sk(x) in a number of word operations that does not depend on t.
 
+That count is one pass of the node's only search, ``locate``.  Pass 1
+counts the sketches below sk(x) and picks the stored key sharing x's
+longest bit prefix; unless that key is x, pass 2 repeats the same sketch
+and count on x with its bits below the fall-off point forced to ones or
+zeros, which gives the exact rank.  ``rank`` wraps it, and a caller that
+wants to see pass 1 passes a ``trace`` dict, which receives the sketch,
+the survivor word, the count, the selected key and the word ops charged
+so far (the ``--demo`` walkthrough and ``scripts/node_anatomy.py`` read
+it).  Sketches of arbitrary words, for inspection, come from the
+scheme's own evaluator, ``SketchScheme.sketch``.
+
 The packed word may be wider than the key word (t blocks of
 padded-length+1 bits each); it always fits the 64-bit machine word,
 which bounds the node capacity at 8 keys.
@@ -45,10 +56,8 @@ class CapacityExceeded(NodeError):
 class FusionNode:
     __slots__ = (
         "width", "cap", "strategy", "keys", "children", "subtree_size",
-        "_scheme", "_plen", "_block", "_word_bits", "_word_width",
-        "_node_word", "_unit", "_top_mask",
-        "_sk_mask", "_sk_mult", "_sk_shift", "_sk_lenmask", "_sk_bits",
-        "_key_mask",
+        "_scheme", "_plen", "_block", "_node_word", "_unit",
+        "_top_mask", "_key_mask", "_locate_state",
     )
 
     def __init__(self, keys, *, width: int = 64, cap: int = 7,
@@ -101,267 +110,141 @@ class FusionNode:
         plen = scheme.padded_length
         block = plen + 1
         word_bits = t * block
-        if word_bits <= 8:
-            word_width = 8
-        elif word_bits <= 16:
-            word_width = 16
-        elif word_bits <= 32:
-            word_width = 32
-        else:
-            word_width = 64
         sep = 1 << plen
         lenmask = sep - 1
+        mask, mult, shift = scheme.mask, scheme.multiplier, scheme.shift
+        sk_bits = scheme.relevant_bits
+        km = self._key_mask
         word = 0
-        if scheme.strategy == MULTIPLICATIVE:
-            mask, mult, shift = scheme.mask, scheme.multiplier, scheme.shift
-            km = self._key_mask
-            self._sk_mask = mask
-            self._sk_mult = mult
-            self._sk_shift = shift
-            self._sk_bits = None
+        if mult is not None:
             for k in keys:
                 word = (word << block) | sep | (
                     ((((k & mask) * mult) & km) >> shift) & lenmask)
         else:
-            sk_bits = scheme.relevant_bits
-            self._sk_mask = scheme.mask
-            self._sk_mult = None
-            self._sk_shift = 0
-            self._sk_bits = sk_bits
             for k in keys:
                 s = 0
                 for b in sk_bits:
                     s = (s << 1) | ((k >> b) & 1)
                 word = (word << block) | sep | s
-        self._sk_lenmask = lenmask
+        unit = ((1 << word_bits) - 1) // ((1 << block) - 1)  # bit 0 of each block
+        top_mask = unit << plen
         self._plen = plen
         self._block = block
-        self._word_bits = word_bits
-        self._word_width = word_width
         self._node_word = word
-        unit = ((1 << word_bits) - 1) // ((1 << block) - 1)  # bit 0 of each block
         self._unit = unit
-        self._top_mask = unit << plen
+        self._top_mask = top_mask
+        # what locate reads, unpacked in one step
+        self._locate_state = (mult, sk_bits, mask, shift, km, lenmask, word,
+                              unit, top_mask, word_bits, block)
         self._scheme = scheme
 
     def _invalidate(self) -> None:
         self._scheme = None
 
-    # -- sketch evaluation -------------------------------------------------
-
-    def _sketch(self, x: int, ops: OpCounters | None) -> int:
-        if self._sk_mult is not None:
-            if ops is not None:
-                ops.word_ops += 4  # and, mul, shr, and
-            return ((((x & self._sk_mask) * self._sk_mult) & self._key_mask)
-                    >> self._sk_shift) & self._sk_lenmask
-        bits = self._sk_bits
-        if ops is not None:
-            ops.word_ops += 4 * len(bits)  # shl, or, shr, and per bit
-        s = 0
-        for b in bits:
-            s = (s << 1) | ((x >> b) & 1)
-        return s
-
-    def sketch_of(self, x: int, ops: OpCounters | None = None) -> int:
-        """Sketch of an arbitrary word under this node's scheme."""
-        check_word(x, self.width)
-        if self._scheme is None:
-            self._ensure()
-        return self._sketch(x, ops)
-
-    # -- packed comparison ---------------------------------------------------
-
-    def make_query_word(self, x: int, ops: OpCounters | None = None) -> int:
-        """0 sk(x) replicated into every block, via one multiplication."""
-        check_word(x, self.width)
-        if self._scheme is None:
-            self._ensure()
-        q = self._sketch(x, ops)
-        if ops is not None:
-            ops.word_ops += 1
-        return q * self._unit
-
-    def _count_lt(self, q: int, ops: OpCounters | None) -> int:
-        """Number of node sketches strictly below the sketch value q."""
-        if ops is not None:
-            ops.word_ops += 4  # replicate, subtract, mask, zero test
-        survivors = (self._node_word - q * self._unit) & self._top_mask
-        if survivors == 0:
-            return len(self.keys)
-        if ops is not None:
-            ops.word_ops += 3  # floor-lg, bit offset, block divide
-        top = survivors.bit_length() - 1
-        return (self._word_bits - 1 - top) // self._block
-
-    def parallel_compare(self, x: int, ops: OpCounters | None = None) -> int:
-        """Index of the first key whose sketch is >= sk(x); t if none.
-
-        Equals |{i : sk(keys[i]) < sk(x)}| because the packed sketches
-        are strictly increasing.
-        """
-        check_word(x, self.width)
-        if self._scheme is None:
-            self._ensure()
-        if len(self.keys) == 1:
-            return 0  # zero-length sketches always tie
-        return self._count_lt(self._sketch(x, ops), ops)
-
-    def node_trs(self, x: int, ops: OpCounters | None = None) -> int:
-        """The stored key sharing the longest bit prefix with x.
-
-        The packed comparison narrows the candidates to the two keys
-        whose sketches bracket sk(x); of those, the one with the longer
-        common prefix is the key x falls off the key set's trie against,
-        which is what the second rank pass needs.
-        """
-        check_word(x, self.width)
-        if self._scheme is None:
-            self._ensure()
-        keys = self.keys
-        t = len(keys)
-        if t == 1:
-            return keys[0]
-        pc = self._count_lt(self._sketch(x, ops), ops)
-        if pc == t:
-            return keys[t - 1]
-        hi = keys[pc]
-        if ops is not None:
-            ops.key_compares += 1
-        if hi == x or pc == 0:
-            return hi
-        if ops is not None:
-            ops.word_ops += 3  # two xors and their comparison
-        lo = keys[pc - 1]
-        # comparing the xor values compares the differing-bit positions
-        return lo if (x ^ lo) < (x ^ hi) else hi
+    # -- the packed rank ---------------------------------------------------
 
     def rank(self, x: int, ops: OpCounters | None = None) -> int:
-        """Number of stored keys <= x, in O(1) word ops.
-
-        Pass 1 locates the longest-prefix key s' via the packed
-        comparison (with the two-neighbor refinement of node_trs).  If
-        s' != x, the most significant differing bit b marks where x
-        falls off the trie: forcing bits b..0 of x all-ones (when x has
-        a 1 at b) makes a second packed comparison count through the
-        predecessor; forcing them all-zero (when x has a 0) counts up to
-        the successor.
-        """
+        """Number of stored keys <= x, in O(1) word ops (see locate)."""
         check_word(x, self.width)
+        if ops is None:
+            ops = OpCounters()
+        i = self.locate(x, ops)[0]
+        if i:
+            ops.key_compares -= 1  # locate's membership compare; rank makes none
+        return i
+
+    def locate(self, x: int, ops: OpCounters, trace: dict | None = None):
+        """(number of stored keys <= x, whether x is stored here).
+
+        Pass 1 sketches x, subtracts the replicated query 0 sk(x) from
+        the node word and counts the separators that borrowed: c keys
+        sketch below x.  The key x shares its longest bit prefix with is
+        keys[c] or keys[c - 1] (whichever differs from x lower down); if
+        keys[c] is x itself, x is stored here.  Otherwise the most
+        significant bit b where x and that key differ marks where x
+        falls off the keys' trie: pass 2 forces bits b..0 of x to ones
+        (x has a 1 at b) and counts through the predecessor, or to zeros
+        and counts up to the successor.  The sketch and the survivor
+        count are written once and run in both passes.
+
+        A ``trace`` dict, if given, receives pass 1's values: ``sketch``,
+        ``survivors`` (the masked difference word), ``count`` (c),
+        ``selected`` (the longest-prefix key) and ``word_ops`` (the
+        sketch-and-count charge).
+        """
         if self._scheme is None:
             self._ensure()
-        return self._rank(x, ops)
-
-    def _rank(self, x: int, ops: OpCounters | None) -> int:
-        # Fused hot path: same arithmetic and the same charge totals as
-        # the helper methods, with the word-op charges batched into one
-        # update per call.
         keys = self.keys
         t = len(keys)
-        if t == 1:
-            if ops is not None:
-                ops.key_compares += 1
-            return 1 if keys[0] <= x else 0
-        mult = self._sk_mult
-        lenmask = self._sk_lenmask
-        sk_mask = self._sk_mask
-        sk_shift = self._sk_shift
-        key_mask = self._key_mask
-        word_top = self._word_bits - 1
-        block = self._block
-        if mult is not None:
-            q = ((((x & sk_mask) * mult) & key_mask) >> sk_shift) & lenmask
-            w = 4  # and, mul, shr, and
-        else:
-            sk_bits = self._sk_bits
-            q = 0
-            for b in sk_bits:
-                q = (q << 1) | ((x >> b) & 1)
-            w = 4 * len(sk_bits)
-        node_word = self._node_word
-        unit = self._unit
-        top_mask = self._top_mask
-        kc = 0
-        survivors = (node_word - q * unit) & top_mask
-        if survivors == 0:
-            pc = t
-            w += 4  # replicate, subtract, mask, zero test
-        else:
-            pc = (word_top - (survivors.bit_length() - 1)) // block
-            w += 7  # ... plus floor-lg, bit offset, block divide
-        if pc < t:
-            s = keys[pc]
-            kc = 1
-            if s == x:
-                if ops is not None:
-                    ops.word_ops += w
-                    ops.key_compares += 1
-                return pc + 1
-            if pc:
-                w += 3  # two xors and their comparison
-                lo = keys[pc - 1]
-                if (x ^ lo) < (x ^ s):
-                    s = lo
-        else:
-            s = keys[t - 1]
-        w += 4  # xor, floor-lg, shift, bit test
-        b = (x ^ s).bit_length() - 1
-        if (x >> b) & 1:
-            w += 4  # mask build (shl, add, sub) and or
-            x2 = x | ((1 << (b + 1)) - 1)
-            if mult is not None:
-                q2 = ((((x2 & sk_mask) * mult) & key_mask) >> sk_shift) & lenmask
-                w += 4
-            else:
-                q2 = 0
-                for bb in sk_bits:
-                    q2 = (q2 << 1) | ((x2 >> bb) & 1)
-                w += 4 * len(sk_bits)
-            w += 1  # saturation test
-            if q2 == lenmask:
-                res = t
-            else:
-                w += 1  # q + 1
-                survivors = (node_word - (q2 + 1) * unit) & top_mask
-                if survivors == 0:
-                    res = t
-                    w += 4
-                else:
-                    res = (word_top - (survivors.bit_length() - 1)) // block
-                    w += 7
-        else:
-            w += 4  # mask build and and-not
-            x2 = x & ~((1 << (b + 1)) - 1)
-            if mult is not None:
-                q2 = ((((x2 & sk_mask) * mult) & key_mask) >> sk_shift) & lenmask
-                w += 4
-            else:
-                q2 = 0
-                for bb in sk_bits:
-                    q2 = (q2 << 1) | ((x2 >> bb) & 1)
-                w += 4 * len(sk_bits)
-            survivors = (node_word - q2 * unit) & top_mask
-            if survivors == 0:
-                res = t
-                w += 4
-            else:
-                res = (word_top - (survivors.bit_length() - 1)) // block
-                w += 7
-        if ops is not None:
-            ops.word_ops += w
-            ops.key_compares += kc
-        return res
-
-    def locate(self, x: int, ops: OpCounters):
-        """(number of stored keys <= x, whether x is stored here): the
-        packed rank plus one charged key comparison to test membership."""
-        if self._scheme is None:
-            self._ensure()
-        i = self._rank(x, ops)
-        if i:
+        if t == 1:  # zero-length sketches always tie: one key compare
+            k = keys[0]
+            if trace is not None:
+                trace.update(sketch=0, survivors=1, count=0, selected=k, word_ops=0)
+            if k <= x:
+                ops.key_compares += 2  # ... plus the membership compare
+                return 1, k == x
             ops.key_compares += 1
-            return i, self.keys[i - 1] == x
-        return 0, False
+            return 0, False
+        (mult, sk_bits, sk_mask, sk_shift, key_mask, lenmask, node_word, unit,
+         top_mask, word_bits, block) = self._locate_state
+        y = x
+        up = None  # pass 1; pass 2 sets it to x's bit at the fall-off point
+        w = kc = 0
+        while True:
+            if mult is not None:
+                q = ((((y & sk_mask) * mult) & key_mask) >> sk_shift) & lenmask
+                w += 4  # and, mul, shr, and
+            else:
+                q = 0
+                for b in sk_bits:
+                    q = (q << 1) | ((y >> b) & 1)
+                w += 4 * len(sk_bits)  # shl, or, shr, and per bit
+            if up:
+                w += 1  # saturation test
+                if q == lenmask:
+                    c = t  # no block sketch exceeds an all-ones window
+                    break
+                w += 1  # q + 1: count the blocks <= sk(y)
+                q += 1
+            # replicate, subtract, mask and zero test: 4 ops; floor-lg, bit
+            # offset and block divide: 3 more if any separator survives
+            survivors = (node_word - q * unit) & top_mask
+            if survivors:
+                c = (word_bits - survivors.bit_length()) // block
+                w += 7
+            else:
+                c = t
+                w += 4
+            if up is not None:
+                break
+            if trace is not None:  # selected stays x if x is stored here
+                trace.update(sketch=q, survivors=survivors, count=c, selected=x,
+                             word_ops=w)
+            if c == t:
+                s = keys[t - 1]
+            else:
+                s = keys[c]
+                kc = 1
+                if s == x:
+                    ops.word_ops += w
+                    ops.key_compares += 2  # keys[c] == x, then the membership compare
+                    return c + 1, True
+                if c:
+                    w += 3  # two xors and their comparison
+                    lo = keys[c - 1]
+                    # comparing the xor values compares the differing-bit positions
+                    if (x ^ lo) < (x ^ s):
+                        s = lo
+            if trace is not None:
+                trace["selected"] = s
+            b = (x ^ s).bit_length() - 1
+            low = (1 << (b + 1)) - 1
+            up = (x >> b) & 1
+            y = x | low if up else x & ~low
+            w += 8  # xor, floor-lg, shift, bit test; shl, add, sub, or/and-not
+        ops.word_ops += w
+        ops.key_compares += kc + 1 if c else kc  # ... plus the membership compare
+        return c, False
 
     # -- introspection -----------------------------------------------------
 
@@ -386,14 +269,16 @@ class FusionNode:
     @property
     def word_width(self) -> int:
         """Standard width of the packed word (may exceed the key width)."""
-        if self._scheme is None:
-            self._ensure()
-        return self._word_width
+        word_bits = self.block_size * len(self.keys)
+        return next(w for w in WIDTHS if word_bits <= w)
+
+    def sketch_of(self, x: int) -> int:
+        """Sketch of an arbitrary word under this node's scheme."""
+        check_word(x, self.width)
+        return self.scheme.sketch(x)
 
     def sketches(self) -> list[int]:
-        if self._scheme is None:
-            self._ensure()
-        return [self._sketch(k, None) for k in self.keys]
+        return [self.scheme.sketch(k) for k in self.keys]
 
     def dump(self) -> str:
         """Multi-line debug text: keys, relevant bits, sketches, packed word."""
@@ -414,14 +299,12 @@ class FusionNode:
             )
         else:
             lines.append(f"mask 0x{sch.mask:x}, per-bit extraction")
-        for i, k in enumerate(self.keys):
-            sk = self._sketch(k, None)
+        sks = self.sketches()
+        for i, (k, sk) in enumerate(zip(self.keys, sks)):
             lines.append(f"  s{i + 1} = {k:0{self.width}b}  sketch {sk:0{max(plen, 1)}b}")
-        blocks = " ".join(
-            f"1 {self._sketch(k, None):0{plen}b}" if plen else "1" for k in self.keys
-        )
+        blocks = " ".join(f"1 {sk:0{plen}b}" if plen else "1" for sk in sks)
         lines.append(
             f"node word = {blocks} = {self._node_word} "
-            f"({self._word_width}-bit packing, block size {self._block})"
+            f"({self.word_width}-bit packing, block size {self._block})"
         )
         return "\n".join(lines)

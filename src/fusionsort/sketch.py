@@ -22,7 +22,6 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .trie import CompressedTrie, EmptyTrie
 from .wordops import word_mask
 
 logger = logging.getLogger(__name__)
@@ -41,10 +40,6 @@ class SketchError(ValueError):
 
 class NoValidMultiplier(SketchError):
     """The bounded multiplier search found no valid constant."""
-
-
-class SchemeNotMultiplicative(SketchError):
-    """Multiplicative evaluation requested on an exact-only scheme."""
 
 
 @dataclass(frozen=True)
@@ -71,25 +66,16 @@ class SketchScheme:
         return self.padded_length
 
     def sketch(self, x: int) -> int:
+        """The sketch of word x: its relevant bits packed contiguously,
+        most significant first (exact), or relocated into the padded
+        window by one masked multiplication (multiplicative)."""
         if self.strategy == MULTIPLICATIVE:
-            return sketch_approx(self, x)
-        return sketch_exact(self, x)
-
-
-def sketch_exact(scheme: SketchScheme, x: int) -> int:
-    """Relevant bits of x packed contiguously, most significant first."""
-    s = 0
-    for b in scheme.relevant_bits:
-        s = (s << 1) | ((x >> b) & 1)
-    return s
-
-
-def sketch_approx(scheme: SketchScheme, x: int) -> int:
-    """Single-multiplication extraction into the padded window."""
-    if scheme.strategy != MULTIPLICATIVE:
-        raise SchemeNotMultiplicative("scheme has no multiplier")
-    prod = ((x & scheme.mask) * scheme.multiplier) & word_mask(scheme.width)
-    return (prod >> scheme.shift) & ((1 << scheme.padded_length) - 1)
+            prod = ((x & self.mask) * self.multiplier) & word_mask(self.width)
+            return (prod >> self.shift) & ((1 << self.padded_length) - 1)
+        s = 0
+        for b in self.relevant_bits:
+            s = (s << 1) | ((x >> b) & 1)
+        return s
 
 
 def scheme_from_bits(
@@ -128,17 +114,6 @@ def _scheme_cached(
         )
         return SketchScheme(width, bits, mask, EXACT, len(bits), fallback=True)
     return SketchScheme(width, bits, mask, MULTIPLICATIVE, plen, mult, shift)
-
-
-def scheme_from_trie(
-    trie: CompressedTrie,
-    strategy: str = MULTIPLICATIVE,
-    max_padded_length: int | None = None,
-) -> SketchScheme:
-    """Scheme whose relevant bits are the trie's branch bits."""
-    if trie.root is None:
-        raise EmptyTrie("cannot derive a scheme from an empty trie")
-    return scheme_from_bits(trie.relevant_bits(), trie.width, strategy, max_padded_length)
 
 
 def find_multiplier(

@@ -51,17 +51,20 @@ def test_criterion_01_golden_walkthrough():
     node = FusionNode(list(GOLDEN_KEYS), width=16, cap=7, strategy=EXACT)
     sketches = tuple(node.sketches())
     node_word = node.node_word
-    wq = node.make_query_word(GOLDEN_QUERY)
+    trace = {}
+    node.locate(GOLDEN_QUERY, OpCounters(), trace)  # pass 1's values
+    wq = trace["sketch"] * node._unit
     diff = node_word - wq
-    masked = diff & node._top_mask
+    masked = trace["survivors"]
+    assert masked == diff & node._top_mask
     top = masked.bit_length() - 1
-    answer = node.node_trs(GOLDEN_QUERY)
+    answer = trace["selected"]
     elapsed_ms = (time.perf_counter() - t0) * 1e3
 
     got = (sketches, node_word, wq, diff, masked, top, answer)
     want = ((0b011, 0b100, 0b101, 0b110), 48350, 21845, 26505, 136, 7, 0b11100001)
     ok = got == want and elapsed_ms < 1.0
-    report(1, ok, f"six walkthrough values exact in {elapsed_ms:.3f} ms")
+    report(1, ok, f"seven walkthrough values exact in {elapsed_ms:.3f} ms")
     assert got == want
     assert elapsed_ms < 1.0
     demo_walkthrough()  # raises GoldenMismatch on any deviation
@@ -318,9 +321,9 @@ def test_criterion_08_constant_node_ops():
             assert ops.word_ops <= 40, (t, x, ops.word_ops)
             label = _rank_path_label(node, x)
             per_path.setdefault(label, {}).setdefault(t, set()).add(ops.word_ops)
-            ops2 = OpCounters()
-            node.parallel_compare(x, ops2)
-            pc_costs.add(ops2.word_ops)
+            trace = {}
+            node.locate(x, OpCounters(), trace)
+            pc_costs.add(trace["word_ops"])  # pass 1: sketch and count
 
     # fixed code path => identical charge, no matter how many keys
     for label, by_t in per_path.items():

@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionsort.btree import btree_sort_with_stats
 from fusionsort.counters import OpCounters
 from fusionsort.fusion_node import CapacityExceeded, FusionNode, NodeError
-from fusionsort.fusion_tree import FusionTree
+from fusionsort.fusion_tree import FusionTree, fusion_sort_with_stats
 from fusionsort.sketch import EXACT, MULTIPLICATIVE
 from fusionsort.trie import CompressedTrie, DuplicateKey
+from fusionsort.wordops import WIDTHS
+
+from oracles import block_leading_bits_mask, block_low_bits_mask
 
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
 X8 = 0b11100111
@@ -22,6 +26,13 @@ def scan_rank(keys, x):
 def golden_node(strategy=EXACT):
     # 16-bit packing: 4 blocks of 4 bits each
     return FusionNode(list(KEYS8), width=16, cap=7, strategy=strategy)
+
+
+def pass1(n, x):
+    """The values locate() records for pass 1 of its rank."""
+    trace = {}
+    n.locate(x, OpCounters(), trace)
+    return trace
 
 
 def test_build_golden_word():
@@ -37,8 +48,9 @@ def test_build_singleton():
     assert n.node_word == 1
     assert n.block_size == 1
     assert n.rank(8) == 0 and n.rank(9) == 1 and n.rank(10) == 1
-    assert n.node_trs(1234) == 9
-    assert n.parallel_compare(1234) == 0
+    trace = pass1(n, 1234)
+    assert trace["selected"] == 9
+    assert trace["count"] == 0
 
 
 def test_build_payloads_ordered_random():
@@ -71,45 +83,63 @@ def test_build_errors():
         FusionNode([1], width=64, cap=9)
 
 
-def test_make_query_word_golden():
+def test_query_word_golden():
     n = golden_node()
-    assert n.make_query_word(X8) == 21845
-    assert n.make_query_word(0) == 0
+    assert pass1(n, X8)["sketch"] * n._unit == 21845
+    assert pass1(n, 0)["sketch"] * n._unit == 0
 
 
-def test_make_query_word_loop_oracle():
+def test_query_word_loop_oracle():
     rng = random.Random(23)
     for _ in range(100):
         keys = sorted(rng.sample(range(1 << 16), rng.randint(2, 7)))
         n = FusionNode(keys, width=16, strategy=EXACT)
         x = rng.randrange(1 << 16)
         sk = n.sketch_of(x)
+        assert pass1(n, x)["sketch"] == sk
         block, t = n.block_size, len(keys)
         expect = 0
         for i in range(t):
             expect |= sk << (i * block)
-        assert n.make_query_word(x) == expect
+        assert sk * n._unit == expect
 
 
-def test_parallel_compare_golden_chain():
+def test_block_masks_match_oracles():
+    # the replication multiplier and the separator mask of every node
+    # shape, against the packed-block mask oracles
+    rng = random.Random(29)
+    for width in WIDTHS:
+        for t in range(1, 9):
+            for strategy in (EXACT, MULTIPLICATIVE):
+                keys = set()
+                while len(keys) < t:
+                    keys.add(rng.getrandbits(width))
+                n = FusionNode(keys, width=width, cap=8, strategy=strategy)
+                block = n.block_size
+                assert n._unit == block_low_bits_mask(block, t, 64)
+                assert n._top_mask == block_leading_bits_mask(block, t, 64)
+
+
+def test_pass1_golden_chain():
     n = golden_node()
-    wq = n.make_query_word(X8)
+    trace = pass1(n, X8)
+    wq = trace["sketch"] * n._unit
     diff = n.node_word - wq
     assert diff == 26505
     masked = diff & n._top_mask
-    assert masked == 136
+    assert masked == trace["survivors"] == 136
     assert masked.bit_length() - 1 == 7
-    assert n.parallel_compare(X8) == 2
-    assert n.node_trs(X8) == 0b11100001
+    assert trace["count"] == 2
+    assert trace["selected"] == 0b11100001
 
 
-def test_parallel_compare_extremes():
+def test_pass1_count_extremes():
     n = golden_node()
-    assert n.parallel_compare(0) == 0  # below all: every separator survives
-    assert n.parallel_compare(0xFFFF) == 4  # above all: none survive
+    assert pass1(n, 0)["count"] == 0  # below all: every separator survives
+    assert pass1(n, 0xFFFF)["count"] == 4  # above all: none survive
 
 
-def test_parallel_compare_brute_scan():
+def test_pass1_count_brute_scan():
     rng = random.Random(31)
     for _ in range(400):
         keys = sorted(rng.sample(range(1 << 16), rng.randint(1, 7)))
@@ -119,7 +149,12 @@ def test_parallel_compare_brute_scan():
             for _ in range(6):
                 x = rng.randrange(1 << 16)
                 skx = n.sketch_of(x)
-                assert n.parallel_compare(x) == sum(1 for s in sks if s < skx)
+                trace = pass1(n, x)
+                assert trace["count"] == sum(1 for s in sks if s < skx)
+                if len(keys) > 1:
+                    assert trace["sketch"] == skx
+                    assert trace["survivors"] == (
+                        (n.node_word - skx * n._unit) & n._top_mask)
 
 
 def test_no_borrow_across_blocks():
@@ -131,7 +166,7 @@ def test_no_borrow_across_blocks():
         x = rng.randrange(1 << 16)
         block, t = n.block_size, len(keys)
         skx = n.sketch_of(x)
-        full = (n.node_word - n.make_query_word(x)) & ((1 << (t * block)) - 1)
+        full = (n.node_word - skx * n._unit) & ((1 << (t * block)) - 1)
         bm = (1 << block) - 1
         rebuilt = 0
         for i in range(t):
@@ -140,15 +175,15 @@ def test_no_borrow_across_blocks():
         assert rebuilt == full
 
 
-def test_node_trs_members_and_golden():
+def test_selected_key_members_and_golden():
     n = golden_node()
     for k in KEYS8:
-        assert n.node_trs(k) == k
-    assert n.node_trs(X8) == 0b11100001
+        assert pass1(n, k)["selected"] == k
+    assert pass1(n, X8)["selected"] == 0b11100001
 
 
-def test_node_trs_falloff_matches_trie():
-    # node_trs may land on a different leaf than the trie descent, but the
+def test_selected_key_falloff_matches_trie():
+    # pass 1 may select a different leaf than the trie descent, but the
     # fall-off bit (most significant differing bit) always agrees, which is
     # all the second rank pass uses.
     rng = random.Random(41)
@@ -158,7 +193,7 @@ def test_node_trs_falloff_matches_trie():
         trie = CompressedTrie(keys, width=16)
         for _ in range(6):
             x = rng.randrange(1 << 16)
-            got = n.node_trs(x)
+            got = pass1(n, x)["selected"]
             want = trie.trs(x)
             if x in keys:
                 assert got == want == x
@@ -290,10 +325,7 @@ def test_op_counters_charged():
     n.rank(231, ops)
     assert 0 < ops.word_ops <= 40
     assert ops.key_compares >= 1
-    before = ops.snapshot()
-    n.parallel_compare(231, ops)
-    after = ops.snapshot()
-    assert after[0] > before[0]
+    assert 0 < pass1(n, 231)["word_ops"] < ops.word_ops
 
     exact_ops = OpCounters()
     golden_node(strategy=EXACT).rank(231, exact_ops)
@@ -306,3 +338,48 @@ def test_dump_mentions_structure():
     assert "48350" in text
     assert "block size 4" in text
     assert "1 011 1 100 1 101 1 110" in text
+
+
+# -- charge pinning ------------------------------------------------------------
+# Totals recorded from the node code before the rank path was folded into
+# one body; any change to what locate() or rank() charges moves them.
+
+PIN_SEED = 20261018
+PIN_LOCATE = (192291, 10030)  # (word_ops, key_compares)
+PIN_RANK = (192291, 5304)
+PIN_FUSION_SORT = (3466301, 199536, 6, 4336)  # (word_ops, key_compares, height, splits)
+PIN_BTREE_SORT = (0, 315643, 6, 4336)
+
+
+def _pin_nodes():
+    rng = random.Random(PIN_SEED)
+    for width in (8, 16, 32, 64):
+        for t in range(1, 9):
+            for strategy in (EXACT, MULTIPLICATIVE):
+                for _ in range(4):
+                    keys = set()
+                    while len(keys) < t:
+                        keys.add(rng.getrandbits(width))
+                    keys = sorted(keys)
+                    top = (1 << width) - 1
+                    probes = {min(top, max(0, k + d)) for k in keys for d in (-1, 0, 1)}
+                    probes.update(rng.getrandbits(width) for _ in range(8))
+                    yield FusionNode(keys, width=width, cap=8, strategy=strategy), sorted(probes)
+
+
+def test_charges_pinned():
+    locate_ops, rank_ops = OpCounters(), OpCounters()
+    for n, probes in _pin_nodes():
+        for x in probes:
+            n.locate(x, locate_ops)
+            n.rank(x, rank_ops)
+    assert (locate_ops.word_ops, locate_ops.key_compares) == PIN_LOCATE
+    assert (rank_ops.word_ops, rank_ops.key_compares) == PIN_RANK
+    rng = random.Random(PIN_SEED)
+    data = [rng.getrandbits(64) for _ in range(20_000)]
+    for sort, pinned in ((fusion_sort_with_stats, PIN_FUSION_SORT),
+                         (btree_sort_with_stats, PIN_BTREE_SORT)):
+        out, tree = sort(data)
+        assert out == sorted(data)
+        c = tree.counters
+        assert (c.word_ops, c.key_compares, tree.height, tree.splits) == pinned

@@ -3,7 +3,10 @@
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from pathlib import Path
+
+from fusionsort.trie import CompressedTrie
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -32,3 +35,19 @@ def test_node_anatomy():
                         "--width", "16", "--query", "231")
     assert "  masked         = 136" in lines
     assert "  rank           = 3" in lines
+
+
+def test_node_anatomy_multiplicative_64bit():
+    keys = [0x0123456789ABCDEF, 0x0123456789ABCE00, 0x7F00000000000001,
+            0x7F00000000000100, 0xC000000000000000, 0xFEDCBA9876543210]
+    x = 0x7F00000000000080  # not stored: falls between two clustered keys
+    lines = _run_script("node_anatomy.py", "--keys", *map(str, keys),
+                        "--strategy", "multiplicative", "--query", str(x))
+    assert "sketch strategy multiplicative" in lines[0]
+    fields = {name.strip(): value for name, value in
+              (line.split(" = ", 1) for line in lines if " = " in line)}
+    assert int(fields["rank"]) == bisect_right(keys, x)
+    selected = int(fields["shares prefix"])
+    assert selected in keys
+    want = CompressedTrie(keys, width=64).trs(x)
+    assert (x ^ selected).bit_length() == (x ^ want).bit_length()

@@ -8,35 +8,40 @@ from fusionsort.sketch import (
     EXACT,
     MULTIPLICATIVE,
     NoValidMultiplier,
-    SchemeNotMultiplicative,
     find_multiplier,
     scheme_from_bits,
-    scheme_from_trie,
-    sketch_approx,
-    sketch_exact,
 )
-from fusionsort.trie import CompressedTrie, EmptyTrie
+from fusionsort.trie import CompressedTrie
 from fusionsort.wordops import word_mask
+
+from oracles import sketch_exact
 
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
 
 
+def scheme_of(trie, strategy=MULTIPLICATIVE, max_padded_length=None):
+    """Scheme whose relevant bits are the trie's branch bits."""
+    return scheme_from_bits(trie.relevant_bits(), trie.width, strategy,
+                            max_padded_length)
+
+
 def test_scheme_from_trie_example():
     t = CompressedTrie(KEYS8, width=8)
-    s = scheme_from_trie(t, strategy=EXACT)
+    s = scheme_of(t, strategy=EXACT)
     assert s.relevant_bits == (5, 4, 0)
     assert s.mask == 0b00110001
     assert s.strategy == EXACT
 
 
-def test_scheme_from_trie_empty_raises():
-    with pytest.raises(EmptyTrie):
-        scheme_from_trie(CompressedTrie([], width=8))
+def test_scheme_from_empty_trie_is_empty():
+    s = scheme_of(CompressedTrie([], width=8))
+    assert s.relevant_bits == () and s.length == 0
+    assert s.strategy == EXACT and not s.fallback
 
 
 def test_scheme_single_key_trie():
     t = CompressedTrie([7], width=8)
-    s = scheme_from_trie(t)
+    s = scheme_of(t)
     assert s.relevant_bits == ()
     assert s.mask == 0
     assert s.length == 0
@@ -48,15 +53,16 @@ def test_scheme_mask_popcount_matches_branches():
     for _ in range(100):
         keys = rng.sample(range(1 << 16), rng.randint(2, 12))
         t = CompressedTrie(keys, width=16)
-        s = scheme_from_trie(t, strategy=EXACT)
+        s = scheme_of(t, strategy=EXACT)
         assert bin(s.mask).count("1") == len(t.relevant_bits())
 
 
 def test_sketch_exact_examples():
     t = CompressedTrie(KEYS8, width=8)
-    s = scheme_from_trie(t, strategy=EXACT)
+    s = scheme_of(t, strategy=EXACT)
+    assert [s.sketch(k) for k in sorted(KEYS8)] == [0b011, 0b100, 0b101, 0b110]
+    assert s.sketch(0b11100111) == 0b101
     assert [sketch_exact(s, k) for k in sorted(KEYS8)] == [0b011, 0b100, 0b101, 0b110]
-    assert sketch_exact(s, 0b11100111) == 0b101
 
 
 def test_sketch_exact_order_preserving_random():
@@ -64,8 +70,9 @@ def test_sketch_exact_order_preserving_random():
     for _ in range(200):
         keys = sorted(rng.sample(range(1 << 32), rng.randint(2, 8)))
         t = CompressedTrie(keys, width=32)
-        s = scheme_from_trie(t, strategy=EXACT)
-        sks = [sketch_exact(s, k) for k in keys]
+        s = scheme_of(t, strategy=EXACT)
+        sks = [s.sketch(k) for k in keys]
+        assert sks == [sketch_exact(s, k) for k in keys]
         assert sks == sorted(sks)
         assert len(set(sks)) == len(sks)
         assert all(v < (1 << s.length) for v in sks)
@@ -127,10 +134,13 @@ def test_scheme_fallback_flag():
         assert s.padded_length <= 6
 
 
-def test_sketch_approx_requires_multiplier():
-    s = scheme_from_bits([3, 1], 16, EXACT)
-    with pytest.raises(SchemeNotMultiplicative):
-        sketch_approx(s, 5)
+def test_exact_scheme_sketch_matches_oracle():
+    # an exact scheme (requested, or a multiplicative fallback) packs bits
+    for s in (scheme_from_bits([3, 1], 16, EXACT),
+              scheme_from_bits(range(0, 63, 3), 64, MULTIPLICATIVE)):
+        assert s.strategy == EXACT and s.multiplier is None
+        for x in (0, 5, 0xA5A5, word_mask(16)):
+            assert s.sketch(x) == sketch_exact(s, x)
 
 
 def test_approx_exact_order_agreement_node_keys():
@@ -141,12 +151,12 @@ def test_approx_exact_order_agreement_node_keys():
         if len(keys) < 2:
             continue
         t = CompressedTrie(keys, width=64)
-        s = scheme_from_trie(t, strategy=MULTIPLICATIVE,
+        s = scheme_of(t, strategy=MULTIPLICATIVE,
                              max_padded_length=64 // len(keys) - 1)
         if s.strategy != MULTIPLICATIVE:
             continue
         checked += 1
-        ap = [sketch_approx(s, k) for k in keys]
+        ap = [s.sketch(k) for k in keys]
         ex = [sketch_exact(s, k) for k in keys]
         assert ap == sorted(ap) and len(set(ap)) == len(ap)
         assert ex == sorted(ex)

@@ -21,18 +21,30 @@ from fusionsort.fusion_tree import FusionTree
 from fusionsort.sketch import EXACT, MULTIPLICATIVE
 from fusionsort.trie import DuplicateKey
 
-# width 8: the whole dense universe.  width 64: spread keys, single-bit
-# keys (branch bits far apart, which pushes nodes to the exact-sketch
-# fallback) and tight clusters around a few fixed words.
-KEYS = {
-    8: st.integers(0, 255),
-    64: st.one_of(
-        st.integers(0, (1 << 64) - 1),
-        st.integers(0, 63).map(lambda b: 1 << b),
-        st.tuples(st.sampled_from([0, 1 << 40, (1 << 64) - 256]),
+
+def spread_keys(width: int):
+    """Spread keys, single-bit keys (branch bits far apart, which at
+    width 64 pushes nodes to the exact-sketch fallback) and tight
+    clusters around a few fixed words."""
+    top = (1 << width) - 1
+    return st.one_of(
+        st.integers(0, top),
+        st.integers(0, width - 1).map(lambda b: 1 << b),
+        st.tuples(st.sampled_from([0, 1 << (width * 5 // 8), top - 255]),
                   st.integers(0, 255)).map(sum),
-    ),
-}
+    )
+
+
+# width 8: the whole dense universe; wider: spread_keys
+KEYS = {8: st.integers(0, 255), **{w: spread_keys(w) for w in (16, 32, 64)}}
+
+# every width, every cap 3..8 and both strategies at each width, without
+# the full product: widths 8 and 64 run both strategies at caps 3 and 7,
+# widths 16 and 32 one strategy at each of the other caps
+CASES = [(w, cap, s) for w in (8, 64) for cap in (3, 7)
+         for s in (MULTIPLICATIVE, EXACT)] + [
+    (16, 4, MULTIPLICATIVE), (16, 8, EXACT),
+    (32, 5, EXACT), (32, 6, MULTIPLICATIVE)]
 
 
 def machine(width: int, cap: int, strategy: str):
@@ -120,9 +132,7 @@ def machine(width: int, cap: int, strategy: str):
     return TreeModel
 
 
-@pytest.mark.parametrize("strategy", [MULTIPLICATIVE, EXACT])
-@pytest.mark.parametrize("cap", [3, 7])
-@pytest.mark.parametrize("width", [8, 64])
+@pytest.mark.parametrize("width, cap, strategy", CASES)
 def test_trees_match_sorted_list_model(width, cap, strategy):
     run_state_machine_as_test(
         machine(width, cap, strategy),

@@ -4,20 +4,23 @@ from hypothesis import strategies as st
 
 from fusionsort.wordops import (
     WIDTHS,
-    EqualWords,
     IndexOutOfWidth,
     WordError,
+    check_word,
+    clear_low_bits,
+    set_low_bits,
+    word_mask,
+)
+
+from oracles import (
+    EqualWords,
     ZeroWord,
     block_leading_bits_mask,
     block_low_bits_mask,
-    check_word,
-    clear_low_bits,
     delta,
     msb,
     msb_debruijn,
-    set_low_bits,
     trailing_ones_mask,
-    word_mask,
 )
 
 words64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
