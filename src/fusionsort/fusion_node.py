@@ -27,13 +27,15 @@ padded-length+1 bits each); it always fits the 64-bit machine word,
 which bounds the node capacity at 8 keys.
 
 Nodes are immutable between mutations, which the owning tree makes by
-splicing ``keys`` and calling ``_invalidate()``.  The sketch scheme and
-packed word are materialized lazily on first query after a mutation; the
-rebuild is idempotent, so a racing pair of readers would simply compute
-the same state twice.
+splicing ``keys`` and calling ``_invalidate()``, which empties the one
+state slot.  The next query rebuilds it as one tuple (scheme, packed word
+and packing layout); the rebuild is idempotent, so a racing pair of
+readers would simply compute the same state twice.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from .counters import OpCounters
 from .sketch import MULTIPLICATIVE, STRATEGIES, _scheme_cached
@@ -53,12 +55,26 @@ class CapacityExceeded(NodeError):
     """More keys than the node capacity allows."""
 
 
+@lru_cache(maxsize=None)
+def _layout(plen: int, t: int) -> tuple:
+    """Packing arithmetic for t blocks of plen payload bits: (plen, block,
+    separator bit, payload mask, bit 0 of each block, separator of each
+    block, word bits).  It depends on nothing else and holds no search
+    result, so clearing the sketch caches leaves it nothing to keep."""
+    block = plen + 1
+    word_bits = t * block
+    unit = ((1 << word_bits) - 1) // ((1 << block) - 1)
+    return plen, block, 1 << plen, (1 << plen) - 1, unit, unit << plen, word_bits
+
+
+def _view(i: int) -> property:
+    """Read-only view of one field of the node state, rebuilt if stale."""
+    return property(lambda self: (self._state or self._ensure())[i])
+
+
 class FusionNode:
-    __slots__ = (
-        "width", "cap", "strategy", "keys", "children", "subtree_size",
-        "_scheme", "_plen", "_block", "_node_word", "_unit",
-        "_top_mask", "_key_mask", "_locate_state",
-    )
+    __slots__ = ("width", "cap", "strategy", "keys", "children",
+                 "subtree_size", "_state")
 
     def __init__(self, keys, *, width: int = 64, cap: int = 7,
                  strategy: str = MULTIPLICATIVE, _sorted: bool = False):
@@ -88,58 +104,47 @@ class FusionNode:
         self.keys: list[int] = list(ks)
         self.children: list[FusionNode] | None = None
         self.subtree_size = len(self.keys)
-        self._key_mask = (1 << width) - 1
-        self._scheme = None
+        self._state = None
 
     # -- lazy materialization --------------------------------------------
 
-    def _ensure(self) -> None:
+    def _ensure(self) -> tuple:
+        """Build and store the node state: (multiplier, relevant bits,
+        mask, shift, sketch charge, node word, scheme) + ``_layout``."""
         keys = self.keys
         t = len(keys)
-        if t > 1:
-            bits = set()
-            prev = keys[0]
-            for k in keys[1:]:
-                bits.add((prev ^ k).bit_length() - 1)
-                prev = k
-            bits_desc = tuple(sorted(bits, reverse=True))
-        else:
-            bits_desc = ()
-        budget = MACHINE_WIDTH // t - 1  # payload bits per block
-        scheme = _scheme_cached(bits_desc, self.width, self.strategy, budget)
-        plen = scheme.padded_length
-        block = plen + 1
-        word_bits = t * block
-        sep = 1 << plen
-        lenmask = sep - 1
+        bits = 0  # one bit per branch position: msb(k_i ^ k_i+1)
+        prev = keys[0]
+        for k in keys[1:]:
+            bits |= 1 << ((prev ^ k).bit_length() - 1)
+            prev = k
+        scheme = _scheme_cached(bits, self.width, self.strategy,
+                                MACHINE_WIDTH // t - 1)  # payload bits per block
+        layout = _layout(scheme.padded_length, t)
+        _, block, sep, lenmask, _, _, _ = layout
         mask, mult, shift = scheme.mask, scheme.multiplier, scheme.shift
         sk_bits = scheme.relevant_bits
-        km = self._key_mask
         word = 0
         if mult is not None:
             for k in keys:
-                word = (word << block) | sep | (
-                    ((((k & mask) * mult) & km) >> shift) & lenmask)
+                word = (word << block) | sep | ((((k & mask) * mult) >> shift) & lenmask)
+            sk_ops = 4  # and, mul, shr, and
         else:
             for k in keys:
                 s = 0
                 for b in sk_bits:
                     s = (s << 1) | ((k >> b) & 1)
                 word = (word << block) | sep | s
-        unit = ((1 << word_bits) - 1) // ((1 << block) - 1)  # bit 0 of each block
-        top_mask = unit << plen
-        self._plen = plen
-        self._block = block
-        self._node_word = word
-        self._unit = unit
-        self._top_mask = top_mask
-        # what locate reads, unpacked in one step
-        self._locate_state = (mult, sk_bits, mask, shift, km, lenmask, word,
-                              unit, top_mask, word_bits, block)
-        self._scheme = scheme
+            sk_ops = 4 * len(sk_bits)  # shl, or, shr, and per bit
+        self._state = st = (mult, sk_bits, mask, shift, sk_ops, word, scheme) + layout
+        return st
 
     def _invalidate(self) -> None:
-        self._scheme = None
+        self._state = None
+
+    # read-only views of the state
+    _node_word, _scheme, _plen, _block = map(_view, (5, 6, 7, 8))
+    _unit, _top_mask = map(_view, (11, 12))
 
     # -- the packed rank ---------------------------------------------------
 
@@ -172,8 +177,9 @@ class FusionNode:
         ``selected`` (the longest-prefix key) and ``word_ops`` (the
         sketch-and-count charge).
         """
-        if self._scheme is None:
-            self._ensure()
+        st = self._state
+        if st is None:
+            st = self._ensure()
         keys = self.keys
         t = len(keys)
         if t == 1:  # zero-length sketches always tie: one key compare
@@ -185,20 +191,19 @@ class FusionNode:
                 return 1, k == x
             ops.key_compares += 1
             return 0, False
-        (mult, sk_bits, sk_mask, sk_shift, key_mask, lenmask, node_word, unit,
-         top_mask, word_bits, block) = self._locate_state
+        (mult, sk_bits, sk_mask, sk_shift, sk_ops, node_word, _, _, block, _,
+         lenmask, unit, top_mask, word_bits) = st
         y = x
         up = None  # pass 1; pass 2 sets it to x's bit at the fall-off point
         w = kc = 0
         while True:
             if mult is not None:
-                q = ((((y & sk_mask) * mult) & key_mask) >> sk_shift) & lenmask
-                w += 4  # and, mul, shr, and
+                q = (((y & sk_mask) * mult) >> sk_shift) & lenmask
             else:
                 q = 0
                 for b in sk_bits:
                     q = (q << 1) | ((y >> b) & 1)
-                w += 4 * len(sk_bits)  # shl, or, shr, and per bit
+            w += sk_ops
             if up:
                 w += 1  # saturation test
                 if q == lenmask:
@@ -248,23 +253,7 @@ class FusionNode:
 
     # -- introspection -----------------------------------------------------
 
-    @property
-    def scheme(self):
-        if self._scheme is None:
-            self._ensure()
-        return self._scheme
-
-    @property
-    def node_word(self) -> int:
-        if self._scheme is None:
-            self._ensure()
-        return self._node_word
-
-    @property
-    def block_size(self) -> int:
-        if self._scheme is None:
-            self._ensure()
-        return self._block
+    scheme, node_word, block_size = _scheme, _node_word, _block
 
     @property
     def word_width(self) -> int:
@@ -282,8 +271,6 @@ class FusionNode:
 
     def dump(self) -> str:
         """Multi-line debug text: keys, relevant bits, sketches, packed word."""
-        if self._scheme is None:
-            self._ensure()
         sch = self._scheme
         t = len(self.keys)
         plen = self._plen

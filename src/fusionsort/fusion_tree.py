@@ -273,9 +273,11 @@ class FusionTree(SearchTree):
 def multiplicity_sort(tree, values, *, signed: bool = False):
     """Sort values through an empty tree: insert each distinct key once,
     in first-occurrence order, then replay multiplicities along the
-    in-order walk.  Signed values map through the order-preserving
-    offset 2**(width-1).  Returns (sorted list, tree)."""
+    in-order walk; when every key is distinct the walk is the output.
+    Signed values map through the order-preserving offset
+    2**(width-1).  Returns (sorted list, tree)."""
     counts = Counter(values)  # one C pass; keeps first-occurrence order
+    distinct = counts.total() == len(counts)
     if signed:
         top = 1 << (tree.width - 1)
         for v in counts:
@@ -286,8 +288,11 @@ def multiplicity_sort(tree, values, *, signed: bool = False):
     # offsetting by 0 would allocate a new big int per key.
     for u in counts:
         tree.insert(u)
+    walk = tree.in_order()
+    if distinct:
+        return ([u - top for u in walk] if signed else walk), tree
     out: list[int] = []
-    for u in tree.in_order():
+    for u in walk:
         v = u - top if signed else u
         n = counts[u]
         if n == 1:

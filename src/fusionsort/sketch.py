@@ -87,22 +87,26 @@ def scheme_from_bits(
     """Build a scheme for the given branch bits (any order, deduplicated)."""
     if strategy not in STRATEGIES:
         raise SketchError(f"unknown strategy {strategy!r}")
-    bits = tuple(sorted(set(relevant_bits), reverse=True))
-    for b in bits:
+    mask = 0
+    for b in relevant_bits:
         if not 0 <= b < width:
             raise SketchError(f"relevant bit {b} outside [0, {width})")
-    return _scheme_cached(bits, width, strategy, max_padded_length)
+        mask |= 1 << b
+    return _scheme_cached(mask, width, strategy, max_padded_length)
 
 
 @lru_cache(maxsize=65536)
 def _scheme_cached(
-    bits: tuple[int, ...], width: int, strategy: str,
-    max_padded_length: int | None,
+    mask: int, width: int, strategy: str, max_padded_length: int | None,
 ) -> SketchScheme:
-    """Schemes are immutable, so identical bit patterns share one instance."""
-    mask = 0
-    for b in bits:
-        mask |= 1 << b
+    """Schemes are immutable, so identical bit sets (one mask bit per
+    relevant bit) share one instance."""
+    bits, rest = [], mask
+    while rest:  # peel the top set bit: at most 7 steps for a node
+        top = rest.bit_length() - 1
+        bits.append(top)
+        rest ^= 1 << top
+    bits = tuple(bits)
     if not bits or strategy == EXACT:
         return SketchScheme(width, bits, mask, EXACT, len(bits))
     try:
@@ -113,6 +117,9 @@ def _scheme_cached(
             bits, width, max_padded_length,
         )
         return SketchScheme(width, bits, mask, EXACT, len(bits), fallback=True)
+    # the window lies inside the word, so masking the product to the word
+    # before the shift changes no sketch bit (locate and _ensure skip it)
+    assert shift + plen <= width, (bits, mult, shift, plen)
     return SketchScheme(width, bits, mask, MULTIPLICATIVE, plen, mult, shift)
 
 
@@ -234,15 +241,11 @@ def _verified(bits_asc, width, result) -> bool:
 def _order_preserving(bits_asc, width, mult, shift, plen) -> bool:
     """Exhaustive check: padded images of all relevant-bit patterns are
     strictly increasing in the exact-sketch order."""
+    ys = [0]  # ys[p] sets bits_asc[k] where pattern p has bit k
+    for b in bits_asc:
+        bit = 1 << b
+        ys += [y | bit for y in ys]
     wm = word_mask(width)
     lenm = (1 << plen) - 1
-    prev = -1
-    for pattern in range(1 << len(bits_asc)):
-        y = 0
-        for k, b in enumerate(bits_asc):
-            y |= ((pattern >> k) & 1) << b
-        img = (((y * mult) & wm) >> shift) & lenm
-        if img <= prev:
-            return False
-        prev = img
-    return True
+    imgs = [(((y * mult) & wm) >> shift) & lenm for y in ys]
+    return all(a < b for a, b in zip(imgs, imgs[1:]))

@@ -3,7 +3,8 @@
 Word primitives the package itself never calls: floor-lg (plain and by
 de Bruijn multiplication), the differing-bit position, the low-bit mask
 and the packed-block masks that a node's query-replication multiplier
-and separator mask must equal.  Also the per-bit exact sketch.
+and separator mask must equal.  Also the per-bit exact sketch and the
+per-pattern order check of a multiplicative sketch constant.
 """
 
 from fusionsort.wordops import (WIDTHS, WordError, _check_bit, _check_width,
@@ -120,3 +121,21 @@ def sketch_exact(scheme, x: int) -> int:
     for b in scheme.relevant_bits:
         s = (s << 1) | ((x >> b) & 1)
     return s
+
+
+def order_preserving(bits_asc, width, mult, shift, plen) -> bool:
+    """Per-pattern reference for ``sketch._order_preserving``: pattern p
+    sets bit bits_asc[k] where p has bit k, and the padded images of
+    p = 0, 1, ... must strictly increase."""
+    wm = word_mask(width)
+    lenm = (1 << plen) - 1
+    prev = -1
+    for pattern in range(1 << len(bits_asc)):
+        y = 0
+        for k, b in enumerate(bits_asc):
+            y |= ((pattern >> k) & 1) << b
+        img = (((y * mult) & wm) >> shift) & lenm
+        if img <= prev:
+            return False
+        prev = img
+    return True

@@ -8,13 +8,14 @@ from fusionsort.sketch import (
     EXACT,
     MULTIPLICATIVE,
     NoValidMultiplier,
+    _order_preserving,
     find_multiplier,
     scheme_from_bits,
 )
 from fusionsort.trie import CompressedTrie
 from fusionsort.wordops import word_mask
 
-from oracles import sketch_exact
+from oracles import order_preserving, sketch_exact
 
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
 
@@ -96,16 +97,7 @@ def test_find_multiplier_verified_on_patterns():
             mult, shift, plen = find_multiplier(bits, 64)
         except NoValidMultiplier:
             continue  # a clean fallback signal is acceptable
-        wm = word_mask(64)
-        asc = sorted(bits)
-        imgs = []
-        for pattern in range(1 << len(asc)):
-            y = 0
-            for k, b in enumerate(asc):
-                y |= ((pattern >> k) & 1) << b
-            imgs.append((((y * mult) & wm) >> shift) & ((1 << plen) - 1))
-        assert imgs == sorted(imgs)
-        assert len(set(imgs)) == len(imgs)
+        assert order_preserving(sorted(bits), 64, mult, shift, plen)
         assert plen <= len(bits) * len(bits)
 
 
@@ -171,16 +163,7 @@ def test_find_multiplier_images_monotone(bits):
         mult, shift, plen = find_multiplier(bits, 64)
     except NoValidMultiplier:
         return
-    wm = word_mask(64)
-    asc = sorted(bits)
-    prev = -1
-    for pattern in range(1 << len(asc)):
-        y = 0
-        for k, b in enumerate(asc):
-            y |= ((pattern >> k) & 1) << b
-        img = (((y * mult) & wm) >> shift) & ((1 << plen) - 1)
-        assert img > prev
-        prev = img
+    assert order_preserving(sorted(bits), 64, mult, shift, plen)
 
 
 def test_padded_blocks_uniform_per_scheme():
@@ -189,3 +172,62 @@ def test_padded_blocks_uniform_per_scheme():
     assert s.strategy == MULTIPLICATIVE
     for x in (0, word_mask(64), 1 << 47, (1 << 13) | (1 << 2)):
         assert s.sketch(x) < (1 << s.padded_length)
+
+
+@st.composite
+def node_bit_sets(draw):
+    """(relevant bits, node budget 64 // t - 1, whether the bits fit one
+    shared shift): 1-7 bits, t = 2..8."""
+    t = draw(st.integers(2, 8))
+    budget = 64 // t - 1
+    r = draw(st.integers(1, 7))
+    if draw(st.booleans()):  # inside one window: the single-shift case
+        window = min(budget, r * r)
+        lo = draw(st.integers(0, 64 - window))
+        bits = draw(st.lists(st.integers(lo, lo + window - 1), min_size=r,
+                             max_size=r, unique=True))
+        return bits, budget, True
+    bits = draw(st.lists(st.integers(0, 63), min_size=r, max_size=r, unique=True))
+    return bits, budget, False
+
+
+@given(node_bit_sets(), st.lists(st.integers(0, word_mask(64)), min_size=1,
+                                 max_size=8))
+@settings(max_examples=300)
+def test_window_inside_word(case, words):
+    # shift + padded_length <= width, so masking the product to the word
+    # before the shift (as SketchScheme.sketch does) changes no sketch bit
+    bits, budget, one_shift = case
+    s = scheme_from_bits(bits, 64, MULTIPLICATIVE, budget)
+    if one_shift:
+        assert s.strategy == MULTIPLICATIVE and s.multiplier == 1
+    if s.strategy != MULTIPLICATIVE:
+        return
+    assert s.shift + s.padded_length <= 64
+    lenm = (1 << s.padded_length) - 1
+    for x in words:
+        prod = (x & s.mask) * s.multiplier
+        assert (prod >> s.shift) & lenm == ((prod & word_mask(64)) >> s.shift) & lenm
+        assert (prod >> s.shift) & lenm == s.sketch(x)
+
+
+def test_order_check_matches_oracle_and_rejects_corruption():
+    rng = random.Random(41)
+    found = rejected = 0
+    for _ in range(150):
+        bits = sorted(rng.sample(range(64), rng.randint(1, 7)))
+        budget = 64 // rng.randint(2, 8) - 1
+        try:
+            mult, shift, plen = find_multiplier(bits, 64, budget)
+        except NoValidMultiplier:
+            continue
+        found += 1
+        corrupt = [(mult ^ (1 << rng.randrange(64)), shift, plen),
+                   (mult, shift + 1, plen), (mult, max(0, shift - 1), plen),
+                   (mult, shift, plen - 1)]
+        for c in [(mult, shift, plen)] + corrupt:
+            got = _order_preserving(bits, 64, *c)
+            assert got == order_preserving(bits, 64, *c), (bits, c)
+        assert _order_preserving(bits, 64, mult, shift, plen)
+        rejected += sum(not _order_preserving(bits, 64, *c) for c in corrupt)
+    assert found > 50 and rejected > 0
