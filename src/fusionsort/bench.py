@@ -191,6 +191,11 @@ def _run_once(cfg: BenchConfig, data: list[int]):
 
 def run(config: BenchConfig) -> list[BenchRecord]:
     """Execute config.trials timed, verified runs over one generated input."""
+    return run_with_output(config)[0]
+
+
+def run_with_output(config: BenchConfig) -> tuple[list[BenchRecord], list[int]]:
+    """``run``, also returning the last trial's verified output."""
     cfg = config.validate()
     data = generate(cfg.dist, cfg.n, cfg.seed, cfg.width)
     expected = sorted(data)
@@ -206,7 +211,7 @@ def run(config: BenchConfig) -> list[BenchRecord]:
         records.append(BenchRecord(
             cfg.algo, cfg.n, cfg.seed, cfg.dist, cfg.width, cfg.cap, trial,
             dt, word_ops, key_compares, height, splits, verified=True))
-    return records
+    return records, out
 
 
 def write_csv(path: str, records, append: bool = True) -> None:

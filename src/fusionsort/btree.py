@@ -22,15 +22,15 @@ class BTreeNode:
 
     def locate(self, x: int, counters: OpCounters):
         """Sequential in-node search; one charged comparison per key
-        looked at.  Returns (number of keys <= x, whether x is here)."""
+        looked at, up to the first key >= x, which alone is tested for
+        equality.  Returns (number of keys <= x, whether x is here)."""
         i = 0
         for k in self.keys:
-            counters.key_compares += 1
-            if x < k:
-                return i, False
-            if x == k:
-                return i + 1, True
+            if x <= k:
+                counters.key_compares += i + 1
+                return (i + 1, True) if x == k else (i, False)
             i += 1
+        counters.key_compares += i
         return i, False
 
     def _invalidate(self) -> None:

@@ -22,9 +22,8 @@ from .bench import (
     GoldenMismatch,
     VerificationFailed,
     demo_walkthrough,
-    generate,
     read_keys,
-    run,
+    run_with_output,
     write_csv,
     write_keys,
 )
@@ -125,12 +124,11 @@ def _run(args) -> int:
     cfg = BenchConfig(algo=args.algo, n=args.n, seed=args.seed,
                       dist=args.dist, width=args.width, cap=args.cap,
                       trials=args.trials, strategy=args.strategy)
-    records = run(cfg)
+    records, out = run_with_output(cfg)
     if args.csv:
         write_csv(args.csv, records)
     if args.out:
-        data = generate(cfg.dist, cfg.n, cfg.seed, cfg.width)
-        write_keys(args.out, sorted(data), cfg.width, binary=args.out_binary)
+        write_keys(args.out, out, cfg.width, binary=args.out_binary)
 
     median_ns = statistics.median(r.wall_time_ns for r in records)
     first = records[0]

@@ -85,7 +85,7 @@ class FusionNode:
                 f"cap {cap} outside [1, {CAP_LIMIT}] (cap*cap must fit {MACHINE_WIDTH} bits)")
         if strategy not in STRATEGIES:
             raise NodeError(f"unknown sketch strategy {strategy!r}")
-        if _sorted:
+        if _sorted:  # a fresh sorted list from the tree; the node keeps it
             ks = keys
         else:
             ks = sorted(keys)
@@ -101,9 +101,9 @@ class FusionNode:
         self.width = width
         self.cap = cap
         self.strategy = strategy
-        self.keys: list[int] = list(ks)
+        self.keys: list[int] = ks
         self.children: list[FusionNode] | None = None
-        self.subtree_size = len(self.keys)
+        self.subtree_size = len(ks)
         self._state = None
 
     # -- lazy materialization --------------------------------------------

@@ -7,9 +7,12 @@ the way down, and an in-order walk enumerates the keys sorted.
 ``BTree`` (btree.py) differ purely per node: a fixed number of word
 operations finds the child branch in one, a linear scan in the other.
 
-Each node also carries its subtree cardinality so that tree-level rank
-is exact.  Keys are unsigned words of the tree's width; the sorter maps
-signed inputs through an order-preserving offset when asked to.
+The four reads (search, rank, predecessor, successor) are views of one
+charged descent, which also tracks the rank total or the nearest stored
+key on one side of the query when asked to.  Each node carries its
+subtree cardinality so that tree-level rank is exact.  Keys are unsigned
+words of the tree's width; the sorter maps signed inputs through an
+order-preserving offset when asked to.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .fusion_node import CAP_LIMIT, FusionNode, NodeError
 from .sketch import MULTIPLICATIVE, STRATEGIES
 from .trie import DuplicateKey
 from .wordops import WIDTHS, check_word
+
+_MEMBER, _RANK, _BELOW, _ABOVE = range(4)  # what SearchTree._read collects
 
 
 class SearchTree:
@@ -70,38 +75,39 @@ class SearchTree:
         return left, median, right
 
     def insert(self, x: int) -> None:
-        check_word(x, self.width)
+        if x.__class__ is not int or x < 0 or x >> self.width:
+            check_word(x, self.width)  # raises, or admits an int subclass
         c = self.counters
-        if self.root is None:
+        cap = self.cap
+        node = self.root
+        if node is None:
             self.root = self._new_node([x])
             self.size = self.height = 1
             return
-        if len(self.root.keys) == self.cap:
-            left, median, right = self._split_node(self.root)
-            root = self._new_node([median])
-            root.children = [left, right]
-            root.subtree_size = 1 + left.subtree_size + right.subtree_size
-            self.root = root
+        if len(node.keys) == cap:
+            left, median, right = self._split_node(node)
+            node = self._new_node([median])
+            node.children = [left, right]
+            node.subtree_size = 1 + left.subtree_size + right.subtree_size
+            self.root = node
             self.height += 1
-        node = self.root
         while True:
             i, member = node.locate(x, c)
             if member:
                 raise self._duplicate(x)
-            if node.children is None:
+            kids = node.children
+            if kids is None:
                 break
-            child = node.children[i]
-            if len(child.keys) == self.cap:
+            child = kids[i]
+            if len(child.keys) == cap:
                 left, median, right = self._split_node(child)
                 node.keys.insert(i, median)
-                node.children[i:i + 1] = [left, right]
+                kids[i:i + 1] = [left, right]
                 node._invalidate()
                 c.key_compares += 1
                 if x == median:
                     raise self._duplicate(x)
-                if x > median:
-                    i += 1
-                child = node.children[i]
+                child = right if x > median else left
             # counted on the way down; _duplicate takes it back
             node.subtree_size += 1
             node = child
@@ -124,66 +130,54 @@ class SearchTree:
 
     # -- queries ----------------------------------------------------------
 
-    def search(self, x: int) -> bool:
-        check_word(x, self.width)
+    def _read(self, x: int, want: int) -> tuple:
+        """The one charged read descent, stopping at the node holding x.
+        Returns (x stored?, number of keys <= x, neighbour).  The count is
+        summed, at a word op per subtree size, only for _RANK (else 0); the
+        neighbour, largest key <= x or smallest >= x, only for _BELOW/_ABOVE."""
+        if x.__class__ is not int or x < 0 or x >> self.width:
+            check_word(x, self.width)  # as in insert
         c = self.counters
         node = self.root
+        total = 0
+        best = None
         while node is not None:
             i, member = node.locate(x, c)
+            kids = node.children
+            if want:
+                if want == _RANK:
+                    total += i
+                    if kids is not None:
+                        c.word_ops += i
+                        for ch in kids[:i]:
+                            total += ch.subtree_size
+                elif want == _BELOW:
+                    if i:
+                        best = node.keys[i - 1]  # deeper candidates are larger
+                elif i < len(node.keys):
+                    best = node.keys[i]  # deeper candidates are smaller
             if member:
-                return True
-            node = node.children[i] if node.children is not None else None
-        return False
+                return True, total, x
+            if kids is None:
+                break
+            node = kids[i]
+        return False, total, best
+
+    def search(self, x: int) -> bool:
+        return self._read(x, _MEMBER)[0]
 
     def rank(self, x: int) -> int:
         """Number of stored keys <= x: per-level node rank plus the
         cardinalities of the subtrees passed on the left."""
-        check_word(x, self.width)
-        c = self.counters
-        node = self.root
-        total = 0
-        while node is not None:
-            i, member = node.locate(x, c)
-            total += i
-            if node.children is None:
-                return total
-            c.word_ops += i
-            for ch in node.children[:i]:
-                total += ch.subtree_size
-            if member:
-                return total
-            node = node.children[i]
-        return total
+        return self._read(x, _RANK)[1]
 
     def predecessor(self, x: int) -> int | None:
         """Largest stored key <= x, or None."""
-        check_word(x, self.width)
-        c = self.counters
-        node = self.root
-        best = None
-        while node is not None:
-            i, member = node.locate(x, c)
-            if member:
-                return x
-            if i:
-                best = node.keys[i - 1]  # deeper candidates are larger
-            node = node.children[i] if node.children is not None else None
-        return best
+        return self._read(x, _BELOW)[2]
 
     def successor(self, x: int) -> int | None:
         """Smallest stored key >= x, or None."""
-        check_word(x, self.width)
-        c = self.counters
-        node = self.root
-        best = None
-        while node is not None:
-            i, member = node.locate(x, c)
-            if member:
-                return x
-            if i < len(node.keys):
-                best = node.keys[i]  # deeper candidates are smaller
-            node = node.children[i] if node.children is not None else None
-        return best
+        return self._read(x, _ABOVE)[2]
 
     def in_order(self) -> list[int]:
         """All keys, strictly increasing."""

@@ -19,6 +19,8 @@ from fusionsort.bench import (
     write_csv,
     write_keys,
 )
+from fusionsort import bench, cli
+from fusionsort.btree import BTree
 from fusionsort.cli import main as cli_main
 from fusionsort.counters import OpCounters
 
@@ -258,6 +260,27 @@ def test_cli_unwritable_out(tmp_path, capsys):
     missing = tmp_path / "missing" / "x"
     err = _cli_fails(capsys, 3, "--n", "50", "--out", str(missing))
     assert str(missing) in err
+
+
+def test_cli_out_writes_verified_output(tmp_path, monkeypatch):
+    # the file holds what the sort produced and run() verified, not a
+    # second generation of the input
+    monkeypatch.setattr(cli, "generate", lambda *a: [3, 2, 1], raising=False)
+    path = tmp_path / "out.txt"
+    assert cli_main(["--algo", "btree", "--n", "300", "--seed", "4",
+                     "--width", "16", "--trials", "2", "--out", str(path)]) == 0
+    got, _ = read_keys(str(path), 16)
+    assert got == sorted(generate("uniform", 300, 4, 16))
+
+
+def test_cli_out_not_written_when_unverified(tmp_path, monkeypatch, capsys):
+    wrong = lambda data, **kw: ([0] * len(data), BTree(width=16))
+    monkeypatch.setattr(bench, "btree_sort_with_stats", wrong)
+    path = tmp_path / "out.txt"
+    err = _cli_fails(capsys, 1, "--algo", "btree", "--n", "50", "--width", "16",
+                     "--out", str(path))
+    assert err.startswith("verification FAILED")
+    assert not path.exists()
 
 
 def test_cli_help_lists_exit_codes(capsys):

@@ -1,11 +1,12 @@
 import itertools
 import random
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionsort.btree import btree_sort_with_stats
+from fusionsort.btree import BTree, btree_sort_with_stats
 from fusionsort.counters import OpCounters
 from fusionsort.fusion_node import CapacityExceeded, FusionNode, NodeError
 from fusionsort.fusion_tree import FusionTree, fusion_sort_with_stats
@@ -383,3 +384,71 @@ def test_charges_pinned():
         assert out == sorted(data)
         c = tree.counters
         assert (c.word_ops, c.key_compares, tree.height, tree.splits) == pinned
+
+
+# Per-op read totals (word_ops, key_compares) over _pin_read_probes(),
+# recorded from the tree code before its four reads were folded into one
+# descent; any change to what a tree-level read charges moves them.
+PIN_READS = {
+    "fusion-multiplicative": {"search": (29241, 1659), "rank": (30745, 1659),
+                              "predecessor": (29241, 1659),
+                              "successor": (29241, 1659)},
+    "fusion-exact": {"search": (43008, 1659), "rank": (44512, 1659),
+                     "predecessor": (43008, 1659), "successor": (43008, 1659)},
+    "btree": {"search": (0, 2809), "rank": (1504, 2809),
+              "predecessor": (0, 2809), "successor": (0, 2809)},
+}
+
+
+def _pin_read_trees():
+    return {"fusion-multiplicative": FusionTree(width=32, strategy=MULTIPLICATIVE),
+            "fusion-exact": FusionTree(width=32, strategy=EXACT),
+            "btree": BTree(width=32)}
+
+
+def _pin_read_probes(keys):
+    """Members, their neighbours (mostly non-members), random words, and
+    keys below the minimum and above the maximum."""
+    rng = random.Random(PIN_SEED)
+    top = (1 << 32) - 1
+    probes = [0, min(keys) - 1, max(keys) + 1, top]
+    for k in rng.sample(keys, 60):
+        probes += [k, k - 1, k + 1]
+    probes += [rng.getrandbits(32) for _ in range(60)]
+    return probes
+
+
+def _model_answer(ks, op, x):
+    if op == "search":
+        i = bisect_left(ks, x)
+        return i < len(ks) and ks[i] == x
+    if op == "rank":
+        return bisect_right(ks, x)
+    if op == "predecessor":
+        i = bisect_right(ks, x)
+        return ks[i - 1] if i else None
+    i = bisect_left(ks, x)
+    return ks[i] if i < len(ks) else None
+
+
+def test_read_charges_pinned():
+    rng = random.Random(PIN_SEED)
+    keys = list({2 + rng.getrandbits(32) % ((1 << 32) - 4) for _ in range(700)})
+    rng.shuffle(keys)
+    probes = _pin_read_probes(keys)
+    ks = sorted(keys)
+    got = {}
+    for name, tree in _pin_read_trees().items():
+        for op in ("search", "rank", "predecessor", "successor"):  # empty tree
+            assert getattr(tree, op)(5) == _model_answer([], op, 5)
+        assert tree.counters.snapshot() == (0, 0)
+        for k in keys:
+            tree.insert(k)
+        got[name] = {}
+        for op in ("search", "rank", "predecessor", "successor"):
+            before = tree.counters.snapshot()
+            for x in probes:
+                assert getattr(tree, op)(x) == _model_answer(ks, op, x), (name, op, x)
+            after = tree.counters.snapshot()
+            got[name][op] = (after[0] - before[0], after[1] - before[1])
+    assert got == PIN_READS

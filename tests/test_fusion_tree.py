@@ -1,5 +1,6 @@
 import math
 import random
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from fusionsort.btree import BTree
 from fusionsort.fusion_node import NodeError
 from fusionsort.fusion_tree import FusionTree, fusion_sort, fusion_sort_with_stats
 from fusionsort.trie import DuplicateKey
+from fusionsort.wordops import WordError
 
 
 def _corrupt_keys(t):
@@ -339,3 +341,45 @@ def test_tree_config_validation():
         FusionTree(cap=9)
     with pytest.raises(NodeError):
         FusionTree(strategy="bogus")
+
+
+_TREES = {"fusion": FusionTree, "btree": BTree}
+
+
+@pytest.mark.parametrize("width", [8, 64])
+@pytest.mark.parametrize("kind", sorted(_TREES))
+def test_tree_boundary_rejects_bad_words(kind, width):
+    t = _TREES[kind](width=width, cap=3)
+    for op in ("search", "rank", "predecessor", "successor"):  # empty tree too
+        with pytest.raises(WordError):
+            getattr(t, op)(-1)
+    for k in range(0, 1 << 8, 9):
+        t.insert(k)
+    state = (t.size, t.height, t.counters.snapshot())
+    for bad in (-1, 1 << width, True, 3.0, "5"):
+        with pytest.raises(WordError):
+            t.insert(bad)
+        assert (t.size, t.height, t.counters.snapshot()) == state
+        t.check()
+        for op in ("search", "rank", "predecessor", "successor"):
+            with pytest.raises(WordError):
+                getattr(t, op)(bad)
+    assert t.in_order() == list(range(0, 1 << 8, 9))
+
+
+class _Key(IntEnum):
+    SEVEN = 7
+    TEN = 10
+
+
+@pytest.mark.parametrize("kind", sorted(_TREES))
+def test_tree_accepts_int_subclass(kind):
+    t = _TREES[kind](width=8, cap=3)
+    for k in (1, 5, 9, 200, 3):
+        t.insert(k)
+    t.insert(_Key.SEVEN)
+    t.check()
+    assert t.search(_Key.SEVEN) and t.search(7)
+    assert t.rank(_Key.TEN) == 5
+    assert t.predecessor(_Key.TEN) == 9 and t.successor(_Key.TEN) == 200
+    assert t.in_order() == [1, 3, 5, 7, 9, 200]

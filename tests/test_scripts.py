@@ -51,3 +51,12 @@ def test_node_anatomy_multiplicative_64bit():
     assert selected in keys
     want = CompressedTrie(keys, width=64).trs(x)
     assert (x ^ selected).bit_length() == (x ^ want).bit_length()
+
+
+def test_ab_pairs_same_tree():
+    src = str(ROOT / "src")
+    lines = _run_script("ab_pairs.py", src, src, "--algo", "fusion",
+                        "--n", "500", "--pairs", "2")
+    assert lines[0] == "checked 60 rows (n <= 2000, seed 1): all identical"
+    assert [line.split(":")[0] for line in lines[1:3]] == ["pair 1", "pair 2"]
+    assert lines[-1].startswith("  ratio ") and lines[-1].endswith(" of 2 pairs")
