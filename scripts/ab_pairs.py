@@ -3,15 +3,15 @@
 
 Loads the ``fusionsort`` package of each ``src/`` directory under its own
 module name, so both versions run in one process on one input.  First it
-checks that both sorters (the fusion tree under each sketch strategy,
-and the B-tree) give the same output, word ops, key compares, height
-and splits on both sides, for every ``--dist`` value over four
-(width, cap) shapes at a fixed seed; any mismatch names its row and
-exits 1.  Then it times ``--pairs`` alternating pairs of one sort (the
-B-tree, or the fusion tree with its default multiplicative sketch, at
-cap 7 as perfbench runs them) from cold sketch caches and prints each
-side's median and quartiles in µs per key, and how many pairs the change
-won.
+checks, for every ``--dist`` value over four (width, cap) shapes at a
+fixed seed, that both sides' ``bench.generate`` draw the same keys, and
+that both sorters (the fusion tree under each sketch strategy, and the
+B-tree) give the same output, word ops, key compares, height and splits
+on the base side's keys; any mismatch names its row and exits 1.  Then
+it times ``--pairs`` alternating pairs of one sort (the B-tree, or the
+fusion tree with its default multiplicative sketch, at cap 7 as
+perfbench runs them) from cold sketch caches and prints each side's
+median and quartiles in µs per key, and how many pairs the change won.
 
     python3 scripts/ab_pairs.py BASE/src src --algo btree --n 100000 --pairs 10
 """
@@ -66,7 +66,16 @@ def check(base, change, seed: int) -> int:
     rows = bad = 0
     for dist in base.bench.DISTS:
         for width, cap in SHAPES:
-            data = base.bench.generate(dist, min(CHECK_N, 1 << width), seed, width)
+            n = min(CHECK_N, 1 << width)
+            data = base.bench.generate(dist, n, seed, width)
+            other = change.bench.generate(dist, n, seed, width)
+            if other != data:
+                bad += 1
+                at = next((i for i, (a, b) in enumerate(zip(data, other))
+                           if a != b), min(len(data), len(other)))
+                print(f"MISMATCH generate dist={dist} width={width} n={n}: "
+                      f"base {len(data)} keys, change {len(other)}, "
+                      f"first difference at index {at}")
             for algo, strategy in algos:
                 a = sort(base, algo, data, width, cap, strategy)
                 b = sort(change, algo, data, width, cap, strategy)

@@ -11,6 +11,7 @@ import random
 import struct
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 from .btree import btree_sort_with_stats
 from .counters import OpCounters
@@ -99,7 +100,14 @@ class BenchRecord:
 
 
 def generate(dist: str, n: int, seed: int, width: int) -> list[int]:
-    """Deterministic key sequence for (dist, n, seed, width)."""
+    """Deterministic key sequence for (dist, n, seed, width).
+
+    The bulk draws call the bound C ``getrandbits`` through ``map``, and
+    ``duplicates`` picks its pool index by ``randrange``'s own rule written
+    inline (k = universe.bit_length() bits, redrawn while >= universe), so
+    every key is the one the plain per-call loops draw, without the two
+    Python frames ``randrange`` puts around each C call.
+    """
     if dist not in DISTS:
         raise InvalidConfig(f"unknown distribution {dist!r}")
     if width not in WIDTHS:
@@ -107,8 +115,9 @@ def generate(dist: str, n: int, seed: int, width: int) -> list[int]:
     if n < 0:
         raise InvalidConfig(f"n must be nonnegative, got {n}")
     rng = random.Random(f"{seed}:{dist}:{width}:{n}")  # str seeding is stable
+    getbits = rng.getrandbits
     if dist == "uniform":
-        return [rng.getrandbits(width) for _ in range(n)]
+        return list(map(getbits, repeat(width, n)))
     if dist in ("sorted", "reverse"):
         if n > (1 << width):
             raise InvalidConfig(
@@ -117,8 +126,8 @@ def generate(dist: str, n: int, seed: int, width: int) -> list[int]:
             vals = sorted(rng.sample(range(1 << width), n))
         else:
             seen: set[int] = set()
-            while len(seen) < n:
-                seen.add(rng.getrandbits(width))
+            while len(seen) < n:  # never past the n-th distinct key
+                seen.update(map(getbits, repeat(width, n - len(seen))))
             vals = sorted(seen)
         return vals if dist == "sorted" else vals[::-1]
     if dist == "clustered":
@@ -129,8 +138,16 @@ def generate(dist: str, n: int, seed: int, width: int) -> list[int]:
                 for _ in range(n)]
     # duplicates: draw from a deliberately small universe
     universe = max(1, -(-n // 10))
-    pool = [rng.getrandbits(width) for _ in range(universe)]
-    return [pool[rng.randrange(universe)] for _ in range(n)]
+    pool = list(map(getbits, repeat(width, universe)))
+    k = universe.bit_length()
+    out = []
+    append = out.append
+    for _ in range(n):
+        r = getbits(k)
+        while r >= universe:
+            r = getbits(k)
+        append(pool[r])
+    return out
 
 
 # -- baseline sorts -----------------------------------------------------------

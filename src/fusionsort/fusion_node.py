@@ -78,16 +78,18 @@ class FusionNode:
 
     def __init__(self, keys, *, width: int = 64, cap: int = 7,
                  strategy: str = MULTIPLICATIVE, _sorted: bool = False):
-        if width not in WIDTHS:
-            raise NodeError(f"unsupported width {width!r}")
-        if not 1 <= cap <= CAP_LIMIT:
-            raise CapacityExceeded(
-                f"cap {cap} outside [1, {CAP_LIMIT}] (cap*cap must fit {MACHINE_WIDTH} bits)")
-        if strategy not in STRATEGIES:
-            raise NodeError(f"unknown sketch strategy {strategy!r}")
-        if _sorted:  # a fresh sorted list from the tree; the node keeps it
+        if _sorted:
+            # A fresh sorted list from the tree, whose constructor checked
+            # width, cap and strategy once; the node keeps the list.
             ks = keys
         else:
+            if width not in WIDTHS:
+                raise NodeError(f"unsupported width {width!r}")
+            if not 1 <= cap <= CAP_LIMIT:
+                raise CapacityExceeded(
+                    f"cap {cap} outside [1, {CAP_LIMIT}] (cap*cap must fit {MACHINE_WIDTH} bits)")
+            if strategy not in STRATEGIES:
+                raise NodeError(f"unknown sketch strategy {strategy!r}")
             ks = sorted(keys)
             for k in ks:
                 check_word(k, width)

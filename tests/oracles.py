@@ -4,8 +4,12 @@ Word primitives the package itself never calls: floor-lg (plain and by
 de Bruijn multiplication), the differing-bit position, the low-bit mask
 and the packed-block masks that a node's query-replication multiplier
 and separator mask must equal.  Also the per-bit exact sketch and the
-per-pattern order check of a multiplicative sketch constant.
+per-pattern order check of a multiplicative sketch constant.  And the
+per-call input generator that ``bench.generate`` must reproduce key for
+key.
 """
+
+import random
 
 from fusionsort.wordops import (WIDTHS, WordError, _check_bit, _check_width,
                                 check_word, word_mask)
@@ -139,3 +143,29 @@ def order_preserving(bits_asc, width, mult, shift, plen) -> bool:
             return False
         prev = img
     return True
+
+
+def generate(dist: str, n: int, seed: int, width: int) -> list[int]:
+    """Reference for ``bench.generate`` on valid arguments: one Python-level
+    ``getrandbits`` or ``randrange`` call per draw."""
+    rng = random.Random(f"{seed}:{dist}:{width}:{n}")
+    if dist == "uniform":
+        return [rng.getrandbits(width) for _ in range(n)]
+    if dist in ("sorted", "reverse"):
+        if width < 63:
+            vals = sorted(rng.sample(range(1 << width), n))
+        else:
+            seen: set[int] = set()
+            while len(seen) < n:
+                seen.add(rng.getrandbits(width))
+            vals = sorted(seen)
+        return vals if dist == "sorted" else vals[::-1]
+    if dist == "clustered":
+        wm = (1 << width) - 1
+        jitter = max(1, width // 4)
+        centers = [rng.getrandbits(width) for _ in range(max(1, n // 1000))]
+        return [(rng.choice(centers) + rng.getrandbits(jitter)) & wm
+                for _ in range(n)]
+    universe = max(1, -(-n // 10))
+    pool = [rng.getrandbits(width) for _ in range(universe)]
+    return [pool[rng.randrange(universe)] for _ in range(n)]

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,9 @@ from fusionsort import bench, cli
 from fusionsort.btree import BTree
 from fusionsort.cli import main as cli_main
 from fusionsort.counters import OpCounters
+from fusionsort.wordops import WIDTHS
+
+import oracles
 
 
 def test_generate_deterministic():
@@ -58,6 +62,53 @@ def test_generate_bounds_and_errors():
 def test_generate_duplicates_universe():
     vals = generate("duplicates", 1000, 5, 64)
     assert len(set(vals)) <= 100  # universe is ceil(n/10)
+
+
+GRID_NS = (0, 1, 2, 9, 10, 11, 255, 256, 257, 10241, 20000)
+
+
+def test_generate_matches_per_call_oracle():
+    # n = 10241 gives a universe of 1025 = 2**10 + 1 pool slots, so about
+    # half the index draws are redrawn: an off-by-one in the redraw rule or
+    # in the bit count shows there.
+    cases = 0
+    for dist in DISTS:
+        for width in WIDTHS:
+            for n in GRID_NS:
+                if dist in ("sorted", "reverse") and n > 1 << width:
+                    continue
+                for seed in (0, 1, 31, 67):
+                    assert generate(dist, n, seed, width) == \
+                        oracles.generate(dist, n, seed, width), (dist, width, n, seed)
+                    cases += 1
+    assert cases == 5 * 4 * len(GRID_NS) * 4 - 2 * 3 * 4  # 8-bit sorted/reverse: n > 256
+
+
+def _digest(keys, width):
+    return hashlib.sha256(
+        b"".join(k.to_bytes(width // 8, "big") for k in keys)).hexdigest()
+
+
+# SHA-256 of the benchmark-scale inputs (sort_uniform64 and query_mix draw
+# the uniform ones, sort_dense8 the duplicates), each key big-endian in
+# width/8 bytes; recorded from the per-call generator.
+PIN_GENERATED = {
+    ("uniform", 100_000, 67, 64):
+        "ebbee1f534c44afbaaf729e968b7adfae4c82755b4c9c07f4e3d0bc7f784de7c",
+    ("uniform", 100_000, 1, 64):
+        "f2224f602d2e87ba67e0c1c033b991c566c06e1ad14958623a7cf9b73909f7fb",
+    ("duplicates", 1_000_000, 67, 8):
+        "552d4cbf95cd82b9c2e977127daf8300807e37067683368bce490a1d89a01a4b",
+    ("duplicates", 1_000_000, 1, 8):
+        "147268ee79e61c2f8efb9eeed0b63dd5680d24ed223438c9a6692d75727a1460",
+}
+
+
+@pytest.mark.parametrize("dist,n,seed,width", list(PIN_GENERATED))
+def test_generate_pinned(dist, n, seed, width):
+    keys = generate(dist, n, seed, width)
+    assert len(keys) == n
+    assert _digest(keys, width) == PIN_GENERATED[dist, n, seed, width]
 
 
 def test_generate_uniform_ks_sanity():
