@@ -12,6 +12,9 @@ it times ``--pairs`` alternating pairs of one sort (the B-tree, or the
 fusion tree with its default multiplicative sketch, at cap 7 as
 perfbench runs them) from cold sketch caches and prints each side's
 median and quartiles in µs per key, and how many pairs the change won.
+Last it times ``--pairs`` alternating pairs of a fresh-interpreter
+``import fusionsort.bench`` from each ``src/`` and prints the same
+summary in ms.
 
     python3 scripts/ab_pairs.py BASE/src src --algo btree --n 100000 --pairs 10
 """
@@ -19,7 +22,9 @@ median and quartiles in µs per key, and how many pairs the change won.
 import argparse
 import gc
 import importlib.util
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -27,6 +32,8 @@ from pathlib import Path
 CAP = 7  # node capacity of the timed sorts, as in every perfbench workload
 SHAPES = ((64, CAP), (8, CAP), (32, 5), (16, 4))  # (width, cap) of the check rows
 CHECK_N = 2000  # keys per check row, fewer where the width holds fewer
+IMPORT_PROBE = ("import time; t = time.perf_counter(); import fusionsort.bench; "
+                "print(time.perf_counter() - t)")
 
 
 def load(src: str, name: str):
@@ -96,6 +103,24 @@ def quartiles(xs) -> str:
     return f"{med:.3f} ({q1:.3f}-{q3:.3f})"
 
 
+def import_ms(src: str) -> float:
+    """Time of ``import fusionsort.bench`` in a fresh interpreter over ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=60)
+    return float(out.stdout) * 1e3
+
+
+def summary(what: str, unit: str, xs: dict, pairs: int) -> None:
+    """Each side's median (quartiles), the change/base ratio and its wins."""
+    wins = sum(c < b for b, c in zip(xs["base"], xs["change"]))
+    ratio = statistics.median(xs["change"]) / statistics.median(xs["base"])
+    print(f"{what}, {unit} median (quartiles):")
+    print(f"  base   {quartiles(xs['base'])}")
+    print(f"  change {quartiles(xs['change'])}")
+    print(f"  ratio {ratio:.3f}, change won {wins} of {pairs} pairs")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="the src/ directory of the base version")
@@ -129,13 +154,15 @@ def main() -> int:
             us[side].append(dt / 1e3 / max(1, args.n))
         print(f"pair {p + 1}: base {us['base'][-1]:.3f}, "
               f"change {us['change'][-1]:.3f} us/key")
-    wins = sum(c < b for b, c in zip(us["base"], us["change"]))
-    ratio = statistics.median(us["change"]) / statistics.median(us["base"])
-    print(f"{args.algo} {args.dist} n={args.n} width={args.width} cap={CAP}, "
-          f"us/key median (quartiles):")
-    print(f"  base   {quartiles(us['base'])}")
-    print(f"  change {quartiles(us['change'])}")
-    print(f"  ratio {ratio:.3f}, change won {wins} of {args.pairs} pairs")
+    summary(f"{args.algo} {args.dist} n={args.n} width={args.width} cap={CAP}",
+            "us/key", us, args.pairs)
+
+    ms = {"base": [], "change": []}
+    srcs = (("base", args.base), ("change", args.change))
+    for p in range(args.pairs):
+        for side, src in (srcs if p % 2 == 0 else srcs[::-1]):
+            ms[side].append(import_ms(src))
+    summary("fresh-interpreter import fusionsort.bench", "ms", ms, args.pairs)
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 import struct
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import repeat
 
 from .btree import btree_sort_with_stats
@@ -45,16 +45,12 @@ class GoldenMismatch(RuntimeError):
     """The worked-example trace deviated from its known-good constants."""
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    algo: str
-    n: int
-    seed: int = 0
-    dist: str = "uniform"
-    width: int = 64
-    cap: int = 7
-    trials: int = 1
-    strategy: str = MULTIPLICATIVE
+class BenchConfig(namedtuple(
+        "BenchConfig", "algo n seed dist width cap trials strategy",
+        defaults=(0, "uniform", 64, 7, 1, MULTIPLICATIVE))):
+    """One benchmark run's settings (immutable); ``validate`` checks them."""
+
+    __slots__ = ()
 
     def validate(self) -> "BenchConfig":
         if self.algo not in ALGOS:
@@ -74,26 +70,14 @@ class BenchConfig:
         return self
 
 
-@dataclass
-class BenchRecord:
-    algo: str
-    n: int
-    seed: int
-    dist: str
-    width: int
-    cap: int
-    trial: int
-    wall_time_ns: int
-    word_ops: int
-    key_compares: int
-    height: int
-    splits: int
-    verified: bool
+class BenchRecord(namedtuple(
+        "BenchRecord", CSV_HEADER.replace(",", " ") + " verified")):
+    """One verified trial: the CSV columns, then ``verified``."""
+
+    __slots__ = ()
 
     def csv_row(self) -> str:
-        return (f"{self.algo},{self.n},{self.seed},{self.dist},{self.width},"
-                f"{self.cap},{self.trial},{self.wall_time_ns},{self.word_ops},"
-                f"{self.key_compares},{self.height},{self.splits}")
+        return ",".join(map(str, self[:-1]))
 
 
 # -- input generation ---------------------------------------------------------

@@ -10,7 +10,6 @@
 from __future__ import annotations
 
 import argparse
-import statistics
 import sys
 
 from .bench import (
@@ -20,6 +19,7 @@ from .bench import (
     DISTS,
     BenchConfig,
     GoldenMismatch,
+    InvalidConfig,
     VerificationFailed,
     demo_walkthrough,
     read_keys,
@@ -57,7 +57,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--strategy", choices=STRATEGIES, default="multiplicative",
                    help="sketch strategy for the fusion tree")
-    p.add_argument("--csv", metavar="PATH", help="append one CSV row per trial")
+    p.add_argument("--csv", metavar="PATH",
+                   help="append one CSV row per trial (not with --in)")
     p.add_argument("--demo", action="store_true",
                    help="print the worked-example trace and exit")
     p.add_argument("--dot", metavar="PATH",
@@ -118,7 +119,11 @@ def _run(args) -> int:
     if args.demo:
         print(demo_walkthrough(dot_path=args.dot), end="")
         return 0
+    if args.dot:
+        raise InvalidConfig("--dot is written only with --demo")
     if args.infile:
+        if args.csv:
+            raise InvalidConfig("--csv is not written with --in (a file sort has no trials)")
         return _sort_file(args)
 
     cfg = BenchConfig(algo=args.algo, n=args.n, seed=args.seed,
@@ -130,7 +135,8 @@ def _run(args) -> int:
     if args.out:
         write_keys(args.out, out, cfg.width, binary=args.out_binary)
 
-    median_ns = statistics.median(r.wall_time_ns for r in records)
+    times = sorted(r.wall_time_ns for r in records)  # even count: mean of middle two
+    median_ns = (times[(len(times) - 1) // 2] + times[len(times) // 2]) / 2
     first = records[0]
     print(CSV_HEADER)
     for r in records:

@@ -18,13 +18,11 @@ is constructed.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 from functools import lru_cache
 
 from .wordops import word_mask
-
-logger = logging.getLogger(__name__)
 
 EXACT = "exact"
 MULTIPLICATIVE = "multiplicative"
@@ -42,9 +40,11 @@ class NoValidMultiplier(SketchError):
     """The bounded multiplier search found no valid constant."""
 
 
-@dataclass(frozen=True)
-class SketchScheme:
-    """Extraction recipe for one key set's relevant bits.
+class SketchScheme(namedtuple(
+        "SketchScheme", "width relevant_bits mask strategy padded_length "
+        "multiplier shift fallback", defaults=(None, None, False))):
+    """Extraction recipe for one key set's relevant bits (descending, and
+    one ``mask`` bit each); immutable.
 
     ``padded_length`` is the number of payload bits a sketch occupies:
     the relevant-bit count for the exact strategy, the (zero-padded)
@@ -52,14 +52,7 @@ class SketchScheme:
     a multiplicative scheme was requested but could not be built.
     """
 
-    width: int
-    relevant_bits: tuple[int, ...]  # descending
-    mask: int
-    strategy: str
-    padded_length: int
-    multiplier: int | None = None
-    shift: int | None = None
-    fallback: bool = False
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -112,10 +105,11 @@ def _scheme_cached(
     try:
         mult, shift, plen = find_multiplier(bits, width, max_padded_length)
     except NoValidMultiplier:
-        logger.debug(
-            "multiplicative sketch fallback: bits=%s width=%d cap=%s",
-            bits, width, max_padded_length,
-        )
+        logging = sys.modules.get("logging")  # else no handler can exist
+        if logging is not None:
+            logging.getLogger(__name__).debug(
+                "multiplicative sketch fallback: bits=%s width=%d cap=%s",
+                bits, width, max_padded_length)
         return SketchScheme(width, bits, mask, EXACT, len(bits), fallback=True)
     # the window lies inside the word, so masking the product to the word
     # before the shift changes no sketch bit (locate and _ensure skip it)

@@ -313,6 +313,44 @@ def test_cli_unwritable_out(tmp_path, capsys):
     assert str(missing) in err
 
 
+def test_cli_csv_with_in_file_is_refused(tmp_path, capsys):
+    # a file sort makes no trial records, so --csv would silently write nothing
+    inp = tmp_path / "k.txt"
+    inp.write_text("9\n3\n")
+    csv = tmp_path / "out.csv"
+    err = _cli_fails(capsys, 2, "--in", str(inp), "--csv", str(csv))
+    assert "--csv" in err and "--in" in err
+    assert not csv.exists()
+
+
+def test_cli_dot_without_demo_is_refused(tmp_path, capsys):
+    dot = tmp_path / "x.dot"
+    err = _cli_fails(capsys, 2, "--n", "10", "--dot", str(dot))
+    assert "--dot" in err and "--demo" in err
+    assert not dot.exists()
+    res = _run_cli("--n", "10", "--dot", str(dot))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "--dot" in res.stderr
+
+
+@pytest.mark.parametrize("times,want", [((4, 1, 2, 9), "3.000"),
+                                         ((4, 1, 2), "2.000"), ((7,), "7.000")])
+def test_cli_median_wall_time(capsys, monkeypatch, times, want):
+    # the summary's median averages the middle two of an even count
+    real = bench.run_with_output
+
+    def fixed_times(cfg):
+        records, out = real(cfg)
+        return [r._replace(wall_time_ns=t * 1_000_000)
+                for r, t in zip(records, times)], out
+
+    monkeypatch.setattr(cli, "run_with_output", fixed_times)
+    assert cli_main(["--algo", "stdsort", "--n", "20",
+                     "--trials", str(len(times))]) == 0
+    assert (f"# median wall time: {want} ms over {len(times)} trial(s)"
+            in capsys.readouterr().out)
+
+
 def test_cli_out_writes_verified_output(tmp_path, monkeypatch):
     # the file holds what the sort produced and run() verified, not a
     # second generation of the input

@@ -59,4 +59,11 @@ def test_ab_pairs_same_tree():
                         "--n", "500", "--pairs", "2")
     assert lines[0] == "checked 60 rows (n <= 2000, seed 1): all identical"
     assert [line.split(":")[0] for line in lines[1:3]] == ["pair 1", "pair 2"]
-    assert lines[-1].startswith("  ratio ") and lines[-1].endswith(" of 2 pairs")
+    assert lines[3].endswith(", us/key median (quartiles):")
+    assert lines[7] == "fresh-interpreter import fusionsort.bench, ms median (quartiles):"
+    assert len(lines) == 11
+    for block in (lines[3:7], lines[7:11]):
+        assert block[1].startswith("  base   ") and block[2].startswith("  change ")
+        assert block[3].startswith("  ratio ") and block[3].endswith(" of 2 pairs")
+        for line in block[1:3]:  # "median (q1-q3)"
+            assert float(line.split()[1]) > 0
