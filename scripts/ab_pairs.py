@@ -7,7 +7,12 @@ checks, for every ``--dist`` value over four (width, cap) shapes at a
 fixed seed, that both sides' ``bench.generate`` draw the same keys, and
 that both sorters (the fusion tree under each sketch strategy, and the
 B-tree) give the same output, word ops, key compares, height and splits
-on the base side's keys; any mismatch names its row and exits 1.  Then
+on the base side's keys.  Each of those trees then answers a seeded probe
+set (both ends of the word, sampled keys and their neighbours, random
+words) with ``search``, ``rank``, ``predecessor`` and ``successor``, and
+both sides must give the same answer and charge the same word ops and
+key compares probe for probe.  Any mismatch names its row (``MISMATCH
+read …`` for a read) and exits 1.  Then
 it times ``--pairs`` alternating pairs of one sort (the B-tree, or the
 fusion tree with its default multiplicative sketch, at cap 7 as
 perfbench runs them) from cold sketch caches and prints each side's
@@ -23,6 +28,7 @@ import argparse
 import gc
 import importlib.util
 import os
+import random
 import statistics
 import subprocess
 import sys
@@ -32,6 +38,8 @@ from pathlib import Path
 CAP = 7  # node capacity of the timed sorts, as in every perfbench workload
 SHAPES = ((64, CAP), (8, CAP), (32, 5), (16, 4))  # (width, cap) of the check rows
 CHECK_N = 2000  # keys per check row, fewer where the width holds fewer
+READS = ("search", "rank", "predecessor", "successor")
+READ_PROBES = 200  # probes per check row, about
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import fusionsort.bench; "
                 "print(time.perf_counter() - t)")
 
@@ -51,15 +59,39 @@ def load(src: str, name: str):
 
 def sort(pkg, algo: str, data, width: int, cap: int = CAP,
          strategy: str = "multiplicative"):
-    """(output, (word_ops, key_compares, height, splits)) of one sort;
-    ``strategy`` is the fusion tree's sketch strategy."""
+    """(output, (word_ops, key_compares, height, splits), tree) of one
+    sort; ``strategy`` is the fusion tree's sketch strategy."""
     if algo == "btree":
         out, tree = pkg.btree_sort_with_stats(data, width=width, cap=cap)
     else:
         out, tree = pkg.fusion_sort_with_stats(
             data, width=width, cap=cap, strategy=strategy)
     c = tree.counters
-    return out, (c.word_ops, c.key_compares, tree.height, tree.splits)
+    return out, (c.word_ops, c.key_compares, tree.height, tree.splits), tree
+
+
+def probes(data, width: int, seed: int) -> list:
+    """Seeded read probes: 0 and the all-ones word, sampled keys with
+    their neighbours, and random words."""
+    rng = random.Random(f"{seed}:{width}:{len(data)}")
+    top = (1 << width) - 1
+    xs = [0, top]
+    for k in rng.sample(data, min(len(data), READ_PROBES // 4)):
+        xs += (max(0, k - 1), k, min(top, k + 1))
+    xs += [rng.getrandbits(width) for _ in range(READ_PROBES // 4)]
+    return xs
+
+
+def reads(tree, xs) -> list:
+    """(op, probe, answer, word ops, key compares) of every read."""
+    c = tree.counters
+    out = []
+    for op in READS:
+        read = getattr(tree, op)
+        for x in xs:
+            w, k = c.word_ops, c.key_compares
+            out.append((op, x, read(x), c.word_ops - w, c.key_compares - k))
+    return out
 
 
 def cold(pkg) -> None:
@@ -83,16 +115,26 @@ def check(base, change, seed: int) -> int:
                 print(f"MISMATCH generate dist={dist} width={width} n={n}: "
                       f"base {len(data)} keys, change {len(other)}, "
                       f"first difference at index {at}")
+            xs = probes(data, width, seed)
             for algo, strategy in algos:
-                a = sort(base, algo, data, width, cap, strategy)
-                b = sort(change, algo, data, width, cap, strategy)
+                *a, tree_a = sort(base, algo, data, width, cap, strategy)
+                *b, tree_b = sort(change, algo, data, width, cap, strategy)
                 rows += 1
+                name = f"{algo}-{strategy}" if strategy else algo
                 if a != b:
                     bad += 1
-                    name = f"{algo}-{strategy}" if strategy else algo
                     print(f"MISMATCH {name} dist={dist} width={width} cap={cap}: "
                           f"base {a[1]}, change {b[1]}, outputs "
                           f"{'equal' if a[0] == b[0] else 'differ'}")
+                ra, rb = reads(tree_a, xs), reads(tree_b, xs)
+                if ra != rb:
+                    bad += 1
+                    diff = [(p, q) for p, q in zip(ra, rb) if p != q]
+                    (op, x, *got_a), (_, _, *got_b) = diff[0]
+                    print(f"MISMATCH read {name} dist={dist} width={width} cap={cap}: "
+                          f"{len(diff)} of {len(ra)} reads differ, first {op}({x}): "
+                          f"base (answer, word_ops, key_compares) {tuple(got_a)}, "
+                          f"change {tuple(got_b)}")
     print(f"checked {rows} rows (n <= {CHECK_N}, seed {seed}): "
           f"{'all identical' if not bad else f'{bad} mismatched'}")
     return bad
@@ -146,7 +188,7 @@ def main() -> int:
             cold(pkg)
             gc.collect()
             t0 = time.perf_counter_ns()
-            out, _ = sort(pkg, args.algo, data, args.width)
+            out = sort(pkg, args.algo, data, args.width)[0]
             dt = time.perf_counter_ns() - t0
             if out != expected:
                 print(f"{side} output disagrees with the reference sort")

@@ -5,6 +5,8 @@
 
     bench --demo [--dot trie.dot]      # worked-example trace, exits
                                        # nonzero on any deviation
+
+    bench --in keys.txt [--out sorted.txt]   # sort a key file once
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ EXIT_CODES = """exit codes:
   2  invalid arguments, configuration or key file, or a deviating worked example
   3  a file could not be read or written"""
 
+# generation flags and their defaults; --in takes none of them, so they
+# default to SUPPRESS and only a flag actually given shows up in args
+GENERATION = {"n": 1000, "seed": 0, "dist": "uniform", "trials": 1}
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -49,23 +55,30 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     p.add_argument("--algo", choices=ALGOS, default="fusion")
-    p.add_argument("--n", type=int, default=1000, help="number of keys to generate")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dist", choices=DISTS, default="uniform")
+    unset = argparse.SUPPRESS  # see GENERATION
+    p.add_argument("--n", type=int, default=unset,
+                   help="number of keys to generate (default 1000; not with --in)")
+    p.add_argument("--seed", type=int, default=unset,
+                   help="input seed (default 0; not with --in)")
+    p.add_argument("--dist", choices=DISTS, default=unset,
+                   help="key distribution (default uniform; not with --in)")
     p.add_argument("--width", type=int, choices=WIDTHS, default=64)
     p.add_argument("--cap", type=int, default=7, help="max keys per tree node")
-    p.add_argument("--trials", type=int, default=1)
+    p.add_argument("--trials", type=int, default=unset,
+                   help="timed runs (default 1; not with --in)")
     p.add_argument("--strategy", choices=STRATEGIES, default="multiplicative",
                    help="sketch strategy for the fusion tree")
     p.add_argument("--csv", metavar="PATH",
-                   help="append one CSV row per trial (not with --in)")
+                   help="append one CSV row per trial (not with --in or --demo)")
     p.add_argument("--demo", action="store_true",
-                   help="print the worked-example trace and exit")
+                   help="print the worked-example trace and exit "
+                        "(not with --in, --out or --csv)")
     p.add_argument("--dot", metavar="PATH",
                    help="with --demo: write the demo compressed trie as DOT")
     p.add_argument("--in", dest="infile", metavar="PATH",
-                   help="read keys from a file instead of generating "
-                        "(decimal lines, or binary with the key-file header)")
+                   help="read keys from a file and sort them once instead of "
+                        "generating (decimal lines, or binary with the key-file "
+                        "header); not with --n, --seed, --dist or --trials")
     p.add_argument("--out", metavar="PATH", help="write the sorted keys")
     p.add_argument("--out-binary", action="store_true",
                    help="write --out in the binary key-file format")
@@ -116,7 +129,12 @@ def main(argv=None) -> int:
 
 
 def _run(args) -> int:
+    given = vars(args)
     if args.demo:
+        for flag, dest in (("--in", "infile"), ("--out", "out"), ("--csv", "csv")):
+            if given[dest]:
+                raise InvalidConfig(f"{flag} is not used with --demo "
+                                    "(the worked example has its own keys)")
         print(demo_walkthrough(dot_path=args.dot), end="")
         return 0
     if args.dot:
@@ -124,11 +142,15 @@ def _run(args) -> int:
     if args.infile:
         if args.csv:
             raise InvalidConfig("--csv is not written with --in (a file sort has no trials)")
+        for name in GENERATION:
+            if name in given:
+                raise InvalidConfig(f"--{name} is not used with --in "
+                                    "(the file's keys are sorted once)")
         return _sort_file(args)
 
-    cfg = BenchConfig(algo=args.algo, n=args.n, seed=args.seed,
-                      dist=args.dist, width=args.width, cap=args.cap,
-                      trials=args.trials, strategy=args.strategy)
+    cfg = BenchConfig(algo=args.algo, width=args.width, cap=args.cap,
+                      strategy=args.strategy,
+                      **{k: given.get(k, v) for k, v in GENERATION.items()})
     records, out = run_with_output(cfg)
     if args.csv:
         write_csv(args.csv, records)

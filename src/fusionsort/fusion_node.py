@@ -11,11 +11,12 @@ block sketch is smaller than sk(x); masking the separator positions and
 taking floor(lg) of the survivor word therefore counts the node sketches
 below sk(x) in a number of word operations that does not depend on t.
 
-That count is one pass of the node's only search, ``locate``.  Pass 1
-counts the sketches below sk(x) and picks the stored key sharing x's
-longest bit prefix; unless that key is x, pass 2 repeats the same sketch
-and count on x with its bits below the fall-off point forced to ones or
-zeros, which gives the exact rank.  ``rank`` wraps it, and a caller that
+That count is one pass of the node's only search, ``locate``, which
+runs two passes straight through.  Pass 1 counts the sketches below
+sk(x) and picks the stored key sharing x's longest bit prefix; unless
+that key is x, x's bits below the fall-off point are forced to ones or
+zeros and pass 2 sketches and counts that word once, which gives the
+exact rank.  ``rank`` wraps it, and a caller that
 wants to see pass 1 passes a ``trace`` dict, which receives the sketch,
 the survivor word, the count, the selected key and the word ops charged
 so far (the ``--demo`` walkthrough and ``scripts/node_anatomy.py`` read
@@ -163,16 +164,19 @@ class FusionNode:
     def locate(self, x: int, ops: OpCounters, trace: dict | None = None):
         """(number of stored keys <= x, whether x is stored here).
 
+        Two straight-line passes, each one sketch and one survivor count.
         Pass 1 sketches x, subtracts the replicated query 0 sk(x) from
         the node word and counts the separators that borrowed: c keys
         sketch below x.  The key x shares its longest bit prefix with is
         keys[c] or keys[c - 1] (whichever differs from x lower down); if
         keys[c] is x itself, x is stored here.  Otherwise the most
-        significant bit b where x and that key differ marks where x
-        falls off the keys' trie: pass 2 forces bits b..0 of x to ones
-        (x has a 1 at b) and counts through the predecessor, or to zeros
-        and counts up to the successor.  The sketch and the survivor
-        count are written once and run in both passes.
+        significant bit where x and that key s differ marks where x
+        falls off the keys' trie: x > s exactly when x has a 1 there.
+        Pass 2 sketches x with the bits from there down forced to ones
+        (x > s), and counts the blocks up to and including that sketch,
+        unless it is all ones and no block can exceed it; or forced to
+        zeros, and counts the blocks below it.  Each exit adds its
+        word-op charge to ``ops`` once.
 
         A ``trace`` dict, if given, receives pass 1's values: ``sketch``,
         ``survivors`` (the masked difference word), ``count`` (c),
@@ -195,61 +199,70 @@ class FusionNode:
             return 0, False
         (mult, sk_bits, sk_mask, sk_shift, sk_ops, node_word, _, _, block, _,
          lenmask, unit, top_mask, word_bits) = st
-        y = x
-        up = None  # pass 1; pass 2 sets it to x's bit at the fall-off point
-        w = kc = 0
-        while True:
-            if mult is not None:
-                q = (((y & sk_mask) * mult) >> sk_shift) & lenmask
-            else:
-                q = 0
-                for b in sk_bits:
-                    q = (q << 1) | ((y >> b) & 1)
-            w += sk_ops
-            if up:
-                w += 1  # saturation test
-                if q == lenmask:
-                    c = t  # no block sketch exceeds an all-ones window
-                    break
-                w += 1  # q + 1: count the blocks <= sk(y)
-                q += 1
-            # replicate, subtract, mask and zero test: 4 ops; floor-lg, bit
-            # offset and block divide: 3 more if any separator survives
-            survivors = (node_word - q * unit) & top_mask
-            if survivors:
-                c = (word_bits - survivors.bit_length()) // block
-                w += 7
-            else:
-                c = t
-                w += 4
-            if up is not None:
-                break
-            if trace is not None:  # selected stays x if x is stored here
-                trace.update(sketch=q, survivors=survivors, count=c, selected=x,
-                             word_ops=w)
-            if c == t:
-                s = keys[t - 1]
-            else:
-                s = keys[c]
-                kc = 1
-                if s == x:
-                    ops.word_ops += w
-                    ops.key_compares += 2  # keys[c] == x, then the membership compare
-                    return c + 1, True
-                if c:
-                    w += 3  # two xors and their comparison
-                    lo = keys[c - 1]
-                    # comparing the xor values compares the differing-bit positions
-                    if (x ^ lo) < (x ^ s):
-                        s = lo
-            if trace is not None:
-                trace["selected"] = s
-            b = (x ^ s).bit_length() - 1
-            low = (1 << (b + 1)) - 1
-            up = (x >> b) & 1
-            y = x | low if up else x & ~low
-            w += 8  # xor, floor-lg, shift, bit test; shl, add, sub, or/and-not
-        ops.word_ops += w
+        # pass 1: sketch x, then replicate, subtract, mask and zero test
+        # (4 ops); floor-lg, bit offset and block divide (3 more) if any
+        # separator survives
+        if mult is not None:
+            q = (((x & sk_mask) * mult) >> sk_shift) & lenmask
+        else:
+            q = 0
+            for b in sk_bits:
+                q = (q << 1) | ((x >> b) & 1)
+        survivors = (node_word - q * unit) & top_mask
+        if survivors:
+            c = (word_bits - survivors.bit_length()) // block
+            w = sk_ops + 7
+        else:
+            c = t
+            w = sk_ops + 4
+        if trace is not None:  # selected stays x if x is stored here
+            trace.update(sketch=q, survivors=survivors, count=c, selected=x,
+                         word_ops=w)
+        if c == t:
+            s = keys[t - 1]
+            kc = 0
+        else:
+            s = keys[c]
+            if s == x:
+                ops.word_ops += w
+                ops.key_compares += 2  # keys[c] == x, then the membership compare
+                return c + 1, True
+            kc = 1
+            if c:
+                w += 3  # two xors and their comparison
+                lo = keys[c - 1]
+                # comparing the xor values compares the differing-bit positions
+                if (x ^ lo) < (x ^ s):
+                    s = lo
+        if trace is not None:
+            trace["selected"] = s
+        # xor, floor-lg, shift, bit test; shl, add, sub, or/and-not: 8 ops
+        # (clearing bits n-1..0 is done here as a shift pair, same word)
+        n = (x ^ s).bit_length()
+        up = x > s
+        y = x | ((1 << n) - 1) if up else x >> n << n
+        # pass 2: sketch y; going up, a saturation test (1 op) and q + 1
+        # (1 more) to count the blocks <= sk(y)
+        if mult is not None:
+            q = (((y & sk_mask) * mult) >> sk_shift) & lenmask
+        else:
+            q = 0
+            for b in sk_bits:
+                q = (q << 1) | ((y >> b) & 1)
+        if up:
+            if q == lenmask:  # no block sketch exceeds an all-ones window
+                ops.word_ops += w + 8 + sk_ops + 1
+                ops.key_compares += kc + 1  # ... plus the membership compare
+                return t, False
+            q += 1
+            w += 2
+        survivors = (node_word - q * unit) & top_mask
+        if survivors:
+            c = (word_bits - survivors.bit_length()) // block
+            ops.word_ops += w + 8 + sk_ops + 7
+        else:
+            c = t
+            ops.word_ops += w + 8 + sk_ops + 4
         ops.key_compares += kc + 1 if c else kc  # ... plus the membership compare
         return c, False
 

@@ -7,12 +7,13 @@ the way down, and an in-order walk enumerates the keys sorted.
 ``BTree`` (btree.py) differ purely per node: a fixed number of word
 operations finds the child branch in one, a linear scan in the other.
 
-The four reads (search, rank, predecessor, successor) are views of one
-charged descent, which also tracks the rank total or the nearest stored
-key on one side of the query when asked to.  Each node carries its
-subtree cardinality so that tree-level rank is exact.  Keys are unsigned
-words of the tree's width; the sorter maps signed inputs through an
-order-preserving offset when asked to.
+The four reads (search, rank, predecessor, successor) each make their
+own charged descent: rank also sums the subtrees it passes on the left,
+and predecessor and successor keep the nearest stored key on their side
+of the query.  Each node carries its subtree cardinality so that
+tree-level rank is exact.  Keys are unsigned words of the tree's width;
+the sorter maps signed inputs through an order-preserving offset when
+asked to.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .fusion_node import CAP_LIMIT, FusionNode, NodeError
 from .sketch import MULTIPLICATIVE, STRATEGIES
 from .trie import DuplicateKey
 from .wordops import WIDTHS, check_word
-
-_MEMBER, _RANK, _BELOW, _ABOVE = range(4)  # what SearchTree._read collects
 
 
 class SearchTree:
@@ -129,55 +128,85 @@ class SearchTree:
             node = node.children[i]
 
     # -- queries ----------------------------------------------------------
+    # One descent per read, each stopping at the node holding x and
+    # testing x as insert does.
 
-    def _read(self, x: int, want: int) -> tuple:
-        """The one charged read descent, stopping at the node holding x.
-        Returns (x stored?, number of keys <= x, neighbour).  The count is
-        summed, at a word op per subtree size, only for _RANK (else 0); the
-        neighbour, largest key <= x or smallest >= x, only for _BELOW/_ABOVE."""
+    def search(self, x: int) -> bool:
         if x.__class__ is not int or x < 0 or x >> self.width:
-            check_word(x, self.width)  # as in insert
+            check_word(x, self.width)
         c = self.counters
         node = self.root
-        total = 0
-        best = None
         while node is not None:
             i, member = node.locate(x, c)
-            kids = node.children
-            if want:
-                if want == _RANK:
-                    total += i
-                    if kids is not None:
-                        c.word_ops += i
-                        for ch in kids[:i]:
-                            total += ch.subtree_size
-                elif want == _BELOW:
-                    if i:
-                        best = node.keys[i - 1]  # deeper candidates are larger
-                elif i < len(node.keys):
-                    best = node.keys[i]  # deeper candidates are smaller
             if member:
-                return True, total, x
+                return True
+            kids = node.children
             if kids is None:
                 break
             node = kids[i]
-        return False, total, best
-
-    def search(self, x: int) -> bool:
-        return self._read(x, _MEMBER)[0]
+        return False
 
     def rank(self, x: int) -> int:
         """Number of stored keys <= x: per-level node rank plus the
-        cardinalities of the subtrees passed on the left."""
-        return self._read(x, _RANK)[1]
+        cardinalities of the subtrees passed on the left, summed at a
+        word op per subtree."""
+        if x.__class__ is not int or x < 0 or x >> self.width:
+            check_word(x, self.width)
+        c = self.counters
+        node = self.root
+        total = 0
+        while node is not None:
+            i, member = node.locate(x, c)
+            total += i
+            kids = node.children
+            if kids is None:
+                break
+            c.word_ops += i
+            for ch in kids[:i]:
+                total += ch.subtree_size
+            if member:
+                break
+            node = kids[i]
+        return total
 
     def predecessor(self, x: int) -> int | None:
         """Largest stored key <= x, or None."""
-        return self._read(x, _BELOW)[2]
+        if x.__class__ is not int or x < 0 or x >> self.width:
+            check_word(x, self.width)
+        c = self.counters
+        node = self.root
+        best = None
+        while node is not None:
+            i, member = node.locate(x, c)
+            if member:
+                return x
+            if i:
+                best = node.keys[i - 1]  # deeper candidates are larger
+            kids = node.children
+            if kids is None:
+                break
+            node = kids[i]
+        return best
 
     def successor(self, x: int) -> int | None:
         """Smallest stored key >= x, or None."""
-        return self._read(x, _ABOVE)[2]
+        if x.__class__ is not int or x < 0 or x >> self.width:
+            check_word(x, self.width)
+        c = self.counters
+        node = self.root
+        best = None
+        while node is not None:
+            i, member = node.locate(x, c)
+            if member:
+                return x
+            ks = node.keys
+            if i < len(ks):
+                best = ks[i]  # deeper candidates are smaller
+            kids = node.children
+            if kids is None:
+                break
+            node = kids[i]
+        return best
 
     def in_order(self) -> list[int]:
         """All keys, strictly increasing."""

@@ -34,8 +34,9 @@ def word_mask(width: int) -> int:
 
 def check_word(value: int, width: int) -> int:
     """Validate that value fits the width as an unsigned word; returns it.
-    SearchTree.insert and SearchTree._read inline its accept test (exact
-    int, then range) and call it only when that fails; keep them in step."""
+    SearchTree.insert, search, rank, predecessor and successor inline its
+    accept test (exact int, then range) and call it only when that fails;
+    keep them in step."""
     _check_width(width)
     if isinstance(value, bool) or not isinstance(value, int):
         raise WordError(f"word value must be an int, got {type(value).__name__}")

@@ -6,7 +6,8 @@ and the packed-block masks that a node's query-replication multiplier
 and separator mask must equal.  Also the per-bit exact sketch and the
 per-pattern order check of a multiplicative sketch constant.  And the
 per-call input generator that ``bench.generate`` must reproduce key for
-key.
+key, and the loop form of ``FusionNode.locate`` that its straight-line
+passes must match probe for probe.
 """
 
 import random
@@ -169,3 +170,82 @@ def generate(dist: str, n: int, seed: int, width: int) -> list[int]:
     universe = max(1, -(-n // 10))
     pool = [rng.getrandbits(width) for _ in range(universe)]
     return [pool[rng.randrange(universe)] for _ in range(n)]
+
+
+def locate(node, x: int, ops, trace: dict | None = None):
+    """Reference for ``FusionNode.locate``: the same two passes as one
+    loop, sketch and count written once and charged by running sums.
+    Must agree with it on the answer, both charges and every trace field."""
+    st = node._state
+    if st is None:
+        st = node._ensure()
+    keys = node.keys
+    t = len(keys)
+    if t == 1:  # zero-length sketches always tie: one key compare
+        k = keys[0]
+        if trace is not None:
+            trace.update(sketch=0, survivors=1, count=0, selected=k, word_ops=0)
+        if k <= x:
+            ops.key_compares += 2  # ... plus the membership compare
+            return 1, k == x
+        ops.key_compares += 1
+        return 0, False
+    (mult, sk_bits, sk_mask, sk_shift, sk_ops, node_word, _, _, block, _,
+     lenmask, unit, top_mask, word_bits) = st
+    y = x
+    up = None  # pass 1; pass 2 sets it to x's bit at the fall-off point
+    w = kc = 0
+    while True:
+        if mult is not None:
+            q = (((y & sk_mask) * mult) >> sk_shift) & lenmask
+        else:
+            q = 0
+            for b in sk_bits:
+                q = (q << 1) | ((y >> b) & 1)
+        w += sk_ops
+        if up:
+            w += 1  # saturation test
+            if q == lenmask:
+                c = t  # no block sketch exceeds an all-ones window
+                break
+            w += 1  # q + 1: count the blocks <= sk(y)
+            q += 1
+        # replicate, subtract, mask and zero test: 4 ops; floor-lg, bit
+        # offset and block divide: 3 more if any separator survives
+        survivors = (node_word - q * unit) & top_mask
+        if survivors:
+            c = (word_bits - survivors.bit_length()) // block
+            w += 7
+        else:
+            c = t
+            w += 4
+        if up is not None:
+            break
+        if trace is not None:  # selected stays x if x is stored here
+            trace.update(sketch=q, survivors=survivors, count=c, selected=x,
+                         word_ops=w)
+        if c == t:
+            s = keys[t - 1]
+        else:
+            s = keys[c]
+            kc = 1
+            if s == x:
+                ops.word_ops += w
+                ops.key_compares += 2  # keys[c] == x, then the membership compare
+                return c + 1, True
+            if c:
+                w += 3  # two xors and their comparison
+                lo = keys[c - 1]
+                # comparing the xor values compares the differing-bit positions
+                if (x ^ lo) < (x ^ s):
+                    s = lo
+        if trace is not None:
+            trace["selected"] = s
+        b = (x ^ s).bit_length() - 1
+        low = (1 << (b + 1)) - 1
+        up = (x >> b) & 1
+        y = x | low if up else x & ~low
+        w += 8  # xor, floor-lg, shift, bit test; shl, add, sub, or/and-not
+    ops.word_ops += w
+    ops.key_compares += kc + 1 if c else kc  # ... plus the membership compare
+    return c, False

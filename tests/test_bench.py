@@ -333,6 +333,37 @@ def test_cli_dot_without_demo_is_refused(tmp_path, capsys):
     assert res.stderr.count("\n") == 1 and "--dot" in res.stderr
 
 
+@pytest.mark.parametrize("flag", ["--in", "--out", "--csv"])
+def test_cli_demo_refuses_file_flags(tmp_path, capsys, flag):
+    # the worked example reads no keys and writes no sorted keys or rows
+    inp = tmp_path / "k.txt"
+    inp.write_text("9\n3\n")
+    path = str(inp) if flag == "--in" else str(tmp_path / "o")
+    err = _cli_fails(capsys, 2, "--demo", flag, path)
+    assert flag in err and "--demo" in err
+    assert capsys.readouterr().out == ""
+    assert not (tmp_path / "o").exists()
+    res = _run_cli("--demo", "--in", str(inp), "--out", str(tmp_path / "o"))
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "--in" in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--n", "5"), ("--seed", "0"),
+                                        ("--dist", "sorted"), ("--trials", "3")])
+def test_cli_in_refuses_generation_flags(tmp_path, capsys, flag, value):
+    # a file sort sorts the file's keys once; a given default is refused too
+    inp = tmp_path / "k.txt"
+    inp.write_text("9\n3\n")
+    out = tmp_path / "o.txt"
+    err = _cli_fails(capsys, 2, "--in", str(inp), flag, value, "--out", str(out))
+    assert err.startswith("invalid configuration: ")
+    assert flag in err and "--in" in err
+    assert not out.exists()
+    assert cli_main(["--in", str(inp), "--out", str(out)]) == 0
+    assert out.read_text().split() == ["3", "9"]
+
+
 @pytest.mark.parametrize("times,want", [((4, 1, 2, 9), "3.000"),
                                          ((4, 1, 2), "2.000"), ((7,), "7.000")])
 def test_cli_median_wall_time(capsys, monkeypatch, times, want):

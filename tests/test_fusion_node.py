@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from bisect import bisect_left, bisect_right
 
 import pytest
@@ -14,6 +15,7 @@ from fusionsort.sketch import EXACT, MULTIPLICATIVE
 from fusionsort.trie import CompressedTrie, DuplicateKey
 from fusionsort.wordops import WIDTHS
 
+import oracles
 from oracles import block_leading_bits_mask, block_low_bits_mask
 
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
@@ -276,6 +278,53 @@ def test_locate():
         x = rng.randrange(lo + 1, hi)
         assert n.locate(x, ops) == (i + 1, False)
         assert n.locate(hi, ops) == (i + 2, True)
+
+
+def _exit(n, x, answer, trace):
+    """Which exit of locate's straight-line passes x leaves by."""
+    if len(n.keys) == 1:
+        return "t = 1"
+    if answer[1]:
+        return "member in pass 1"
+    s = trace["selected"]
+    if x < s:
+        return "pass 2 down"
+    y = x | ((1 << (x ^ s).bit_length()) - 1)
+    return ("pass 2 saturated" if n.scheme.sketch(y) == (1 << n._plen) - 1
+            else "pass 2 up")
+
+
+def test_locate_matches_loop_oracle():
+    # the straight-line passes answer, charge and trace probe for probe
+    # as the loop form in tests/oracles.py does
+    rng = random.Random(PIN_SEED + 1)
+    exits = Counter()
+    for width in WIDTHS:
+        top = (1 << width) - 1
+        for t in range(1, 9):
+            for strategy in (EXACT, MULTIPLICATIVE):
+                for _ in range(6):
+                    keys = set()
+                    while len(keys) < t:
+                        keys.add(rng.getrandbits(width))
+                    keys = sorted(keys)
+                    probes = {0, top}
+                    probes.update(min(top, max(0, k + d)) for k in keys for d in (-1, 0, 1))
+                    probes.update(rng.getrandbits(width) for _ in range(8))
+                    n = FusionNode(keys, width=width, cap=8, strategy=strategy)
+                    for x in sorted(probes):
+                        got_ops, want_ops = OpCounters(), OpCounters()
+                        got_trace, want_trace = {}, {}
+                        got = n.locate(x, got_ops, got_trace)
+                        want = oracles.locate(n, x, want_ops, want_trace)
+                        assert (got, got_ops.snapshot(), got_trace) == (
+                            want, want_ops.snapshot(), want_trace), (keys, strategy, x)
+                        assert got == (scan_rank(keys, x), x in keys)
+                        exits[_exit(n, x, got, got_trace)] += 1
+                        if t > 1 and got_trace["count"] == t:
+                            exits["pass 1 with no survivor"] += 1
+    assert set(exits) == {"t = 1", "member in pass 1", "pass 1 with no survivor",
+                          "pass 2 saturated", "pass 2 up", "pass 2 down"}, exits
 
 
 def test_node_insert_rebuilds():
