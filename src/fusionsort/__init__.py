@@ -2,10 +2,11 @@
 
 Layers, bottom up:
 
-* wordops      -- width-checked word primitives (word masks, forcing
-                  the low bits of a word to ones or zeros)
+* wordops      -- width-checked words: the supported widths, word
+                  masks and the word check
 * trie         -- compressed binary trie, the structural reference for
-                  all rank logic
+                  all rank logic: build, descent, rank, branch-bit
+                  walks and DOT
 * sketch       -- order-preserving relevant-bit compression, exact and
                   single-multiplication variants
 * fusion_node  -- packed sketch word; one two-pass, constant-word-op
@@ -37,11 +38,8 @@ from .sketch import (
 from .trie import CompressedTrie, DuplicateKey, EmptyTrie, TrieError
 from .wordops import (
     WIDTHS,
-    IndexOutOfWidth,
     WordError,
     check_word,
-    clear_low_bits,
-    set_low_bits,
     word_mask,
 )
 
@@ -56,7 +54,6 @@ __all__ = [
     "EXACT", "MULTIPLICATIVE", "NoValidMultiplier", "SketchError",
     "SketchScheme", "find_multiplier", "scheme_from_bits",
     "CompressedTrie", "DuplicateKey", "EmptyTrie", "TrieError",
-    "WIDTHS", "IndexOutOfWidth", "WordError", "check_word",
-    "clear_low_bits", "set_low_bits", "word_mask",
+    "WIDTHS", "WordError", "check_word", "word_mask",
     "__version__",
 ]

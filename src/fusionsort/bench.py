@@ -27,6 +27,7 @@ DISTS = ("uniform", "sorted", "reverse", "clustered", "duplicates")
 CSV_HEADER = "algo,n,seed,dist,width,cap,trial,wall_time_ns,word_ops,key_compares,height,splits"
 
 KEY_FILE_MAGIC = b"WRDKEYS\x00"  # 8 bytes, followed by one width byte
+KEY_FORMATS = {8: "<B", 16: "<H", 32: "<I", 64: "<Q"}  # then little-endian keys
 
 
 class InvalidConfig(ValueError):
@@ -215,15 +216,10 @@ def run_with_output(config: BenchConfig) -> tuple[list[BenchRecord], list[int]]:
     return records, out
 
 
-def write_csv(path: str, records, append: bool = True) -> None:
+def write_csv(path: str, records) -> None:
     """Append records, writing the header if the file is new/empty."""
-    import os
-
-    need_header = True
-    if append and os.path.exists(path) and os.path.getsize(path) > 0:
-        need_header = False
-    with open(path, "a" if append else "w") as fh:
-        if need_header:
+    with open(path, "a") as fh:
+        if not fh.tell():
             fh.write(CSV_HEADER + "\n")
         for rec in records:
             fh.write(rec.csv_row() + "\n")
@@ -307,7 +303,7 @@ def write_keys(path: str, values, width: int, binary: bool = False) -> None:
     if binary:
         if width not in WIDTHS:
             raise InvalidConfig(f"unsupported width {width!r}")
-        fmt = {8: "<B", 16: "<H", 32: "<I", 64: "<Q"}[width]
+        fmt = KEY_FORMATS[width]
         with open(path, "wb") as fh:
             fh.write(KEY_FILE_MAGIC)
             fh.write(bytes([width]))
@@ -331,7 +327,7 @@ def read_keys(path: str, width: int = 64) -> tuple[list[int], int | None]:
             width = header[0]
             if width not in WIDTHS:
                 raise BadKeyFile(f"key file declares unsupported width {width}")
-            fmt = {8: "<B", 16: "<H", 32: "<I", 64: "<Q"}[width]
+            fmt = KEY_FORMATS[width]
             step = width // 8
             payload = fh.read()
             if len(payload) % step:

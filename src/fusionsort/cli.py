@@ -6,7 +6,7 @@
     bench --demo [--dot trie.dot]      # worked-example trace, exits
                                        # nonzero on any deviation
 
-    bench --in keys.txt [--out sorted.txt]   # sort a key file once
+    bench --in keys.txt [--out sorted.txt [--out-binary]]   # sort a file once
 """
 
 from __future__ import annotations
@@ -23,17 +23,14 @@ from .bench import (
     GoldenMismatch,
     InvalidConfig,
     VerificationFailed,
+    _run_once,
     demo_walkthrough,
     read_keys,
     run_with_output,
     write_csv,
     write_keys,
 )
-from .btree import btree_sort
-from .counters import OpCounters
-from .fusion_tree import fusion_sort
-from .bench import mergesort
-from .sketch import STRATEGIES
+from .sketch import MULTIPLICATIVE, STRATEGIES
 from .wordops import WIDTHS
 
 EXIT_CODES = """exit codes:
@@ -43,7 +40,8 @@ EXIT_CODES = """exit codes:
   3  a file could not be read or written"""
 
 # generation flags and their defaults; --in takes none of them, so they
-# default to SUPPRESS and only a flag actually given shows up in args
+# (and --strategy, which only --algo fusion takes) default to SUPPRESS and
+# only a flag actually given shows up in args
 GENERATION = {"n": 1000, "seed": 0, "dist": "uniform", "trials": 1}
 
 
@@ -66,8 +64,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=7, help="max keys per tree node")
     p.add_argument("--trials", type=int, default=unset,
                    help="timed runs (default 1; not with --in)")
-    p.add_argument("--strategy", choices=STRATEGIES, default="multiplicative",
-                   help="sketch strategy for the fusion tree")
+    p.add_argument("--strategy", choices=STRATEGIES, default=unset,
+                   help="sketch strategy (default multiplicative; only with "
+                        "--algo fusion)")
     p.add_argument("--csv", metavar="PATH",
                    help="append one CSV row per trial (not with --in or --demo)")
     p.add_argument("--demo", action="store_true",
@@ -81,21 +80,15 @@ def _build_parser() -> argparse.ArgumentParser:
                         "header); not with --n, --seed, --dist or --trials")
     p.add_argument("--out", metavar="PATH", help="write the sorted keys")
     p.add_argument("--out-binary", action="store_true",
-                   help="write --out in the binary key-file format")
+                   help="write --out in the binary key-file format (only with --out)")
     return p
 
 
 def _sort_file(args) -> int:
     values, file_width = read_keys(args.infile, args.width)
     width = file_width or args.width
-    sorters = {
-        "fusion": lambda v: fusion_sort(v, width=width, cap=args.cap,
-                                        strategy=args.strategy),
-        "btree": lambda v: btree_sort(v, width=width, cap=args.cap),
-        "mergesort": lambda v: mergesort(v, OpCounters()),
-        "stdsort": sorted,
-    }
-    out = sorters[args.algo](values)
+    out = _run_once(BenchConfig(args.algo, len(values), width=width, cap=args.cap,
+                                strategy=args.strategy), values)[0]
     if out != sorted(values):
         raise VerificationFailed("file sort disagrees with the reference sort")
     if args.out:
@@ -130,6 +123,8 @@ def main(argv=None) -> int:
 
 def _run(args) -> int:
     given = vars(args)
+    if args.out_binary and not args.out:
+        raise InvalidConfig("--out-binary is used only with --out")
     if args.demo:
         for flag, dest in (("--in", "infile"), ("--out", "out"), ("--csv", "csv")):
             if given[dest]:
@@ -139,6 +134,9 @@ def _run(args) -> int:
         return 0
     if args.dot:
         raise InvalidConfig("--dot is written only with --demo")
+    if "strategy" in given and args.algo != "fusion":
+        raise InvalidConfig("--strategy is used only with --algo fusion")
+    given.setdefault("strategy", MULTIPLICATIVE)  # given is args' own dict
     if args.infile:
         if args.csv:
             raise InvalidConfig("--csv is not written with --in (a file sort has no trials)")

@@ -28,7 +28,3 @@ class OpCounters:
 
     def snapshot(self) -> tuple[int, int]:
         return (self.word_ops, self.key_compares)
-
-    def add(self, other: "OpCounters") -> None:
-        self.word_ops += other.word_ops
-        self.key_compares += other.key_compares

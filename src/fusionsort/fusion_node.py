@@ -146,7 +146,7 @@ class FusionNode:
         self._state = None
 
     # read-only views of the state
-    _node_word, _scheme, _plen, _block = map(_view, (5, 6, 7, 8))
+    node_word, scheme, block_size = map(_view, (5, 6, 8))
     _unit, _top_mask = map(_view, (11, 12))
 
     # -- the packed rank ---------------------------------------------------
@@ -268,8 +268,6 @@ class FusionNode:
 
     # -- introspection -----------------------------------------------------
 
-    scheme, node_word, block_size = _scheme, _node_word, _block
-
     @property
     def word_width(self) -> int:
         """Standard width of the packed word (may exceed the key width)."""
@@ -286,9 +284,9 @@ class FusionNode:
 
     def dump(self) -> str:
         """Multi-line debug text: keys, relevant bits, sketches, packed word."""
-        sch = self._scheme
+        sch = self.scheme
         t = len(self.keys)
-        plen = self._plen
+        plen = sch.padded_length
         lines = [
             f"{t} key(s), key width {self.width}, sketch strategy {sch.strategy}"
             + (" (fallback from multiplicative)" if sch.fallback else ""),
@@ -306,7 +304,7 @@ class FusionNode:
             lines.append(f"  s{i + 1} = {k:0{self.width}b}  sketch {sk:0{max(plen, 1)}b}")
         blocks = " ".join(f"1 {sk:0{plen}b}" if plen else "1" for sk in sks)
         lines.append(
-            f"node word = {blocks} = {self._node_word} "
-            f"({self.word_width}-bit packing, block size {self._block})"
+            f"node word = {blocks} = {self.node_word} "
+            f"({self.word_width}-bit packing, block size {self.block_size})"
         )
         return "\n".join(lines)

@@ -54,10 +54,6 @@ class SketchScheme(namedtuple(
 
     __slots__ = ()
 
-    @property
-    def length(self) -> int:
-        return self.padded_length
-
     def sketch(self, x: int) -> int:
         """The sketch of word x: its relevant bits packed contiguously,
         most significant first (exact), or relocated into the padded
@@ -138,7 +134,7 @@ def find_multiplier(
         if not 0 <= b < width:
             raise SketchError(f"relevant bit {b} outside [0, {width})")
     r = len(bits)
-    if r > 16:  # _verified enumerates all 2**r patterns; nodes have <= 7 bits
+    if r > 16:  # _order_preserving tries all 2**r patterns; nodes have <= 7 bits
         raise NoValidMultiplier(f"{r} relevant bits are too many to verify")
     lcap = r * r
     if max_padded_length is not None:
@@ -157,7 +153,7 @@ def _find_multiplier_cached(bits: tuple[int, ...], width: int, lcap: int):
     if span <= lcap:
         # One shared shift: the bits are already close enough together.
         result = (1, bits[0], span)
-        if _verified(bits, width, result):
+        if _order_preserving(bits, width, *result):
             return result
         raise NoValidMultiplier("degenerate single-shift scheme failed verification")
 
@@ -222,19 +218,15 @@ def _find_multiplier_cached(bits: tuple[int, ...], width: int, lcap: int):
         return None
 
     result = place(0, 0)
-    if result is not None and _verified(bits, width, result):
+    if result is not None and _order_preserving(bits, width, *result):
         return result
     raise NoValidMultiplier(f"no constant found for bits {bits} within window {lcap}")
-
-
-def _verified(bits_asc, width, result) -> bool:
-    assert len(bits_asc) <= 16, "find_multiplier refuses unverifiable bit counts"
-    return _order_preserving(bits_asc, width, *result)
 
 
 def _order_preserving(bits_asc, width, mult, shift, plen) -> bool:
     """Exhaustive check: padded images of all relevant-bit patterns are
     strictly increasing in the exact-sketch order."""
+    assert len(bits_asc) <= 16, "find_multiplier refuses unverifiable bit counts"
     ys = [0]  # ys[p] sets bits_asc[k] where pattern p has bit k
     for b in bits_asc:
         bit = 1 << b

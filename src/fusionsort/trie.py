@@ -13,9 +13,9 @@ against it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 
-from .wordops import check_word, clear_low_bits, set_low_bits
+from .wordops import check_word
 
 
 class TrieError(ValueError):
@@ -47,7 +47,7 @@ class _Branch:
 
 
 class CompressedTrie:
-    """Build-then-read trie; insert splices in place under exclusive access."""
+    """Trie built once from its keys, then only read."""
 
     __slots__ = ("width", "root", "_keys")
 
@@ -71,33 +71,6 @@ class CompressedTrie:
         # keys sorted and sharing all bits above `bit`: zeros then ones
         mid = bisect_left(ks, 1, lo, hi, key=lambda k: (k >> bit) & 1)
         return _Branch(bit, self._build(ks, lo, mid), self._build(ks, mid, hi))
-
-    def insert(self, x: int) -> "CompressedTrie":
-        """Splice x in; the single new branch bit is delta(x, trs(x))."""
-        check_word(x, self.width)
-        if self.root is None:
-            self.root = _Leaf(x)
-            self._keys = [x]
-            return self
-        s = self._descend(x)
-        if s == x:
-            raise DuplicateKey(f"duplicate key {x}")
-        b = (x ^ s).bit_length() - 1
-        leaf = _Leaf(x)
-        parent = None
-        node = self.root
-        while isinstance(node, _Branch) and node.bit > b:
-            parent = node
-            node = node.one if (x >> node.bit) & 1 else node.zero
-        branch = _Branch(b, node, leaf) if (x >> b) & 1 else _Branch(b, leaf, node)
-        if parent is None:
-            self.root = branch
-        elif parent.one is node:
-            parent.one = branch
-        else:
-            parent.zero = branch
-        insort(self._keys, x)
-        return self
 
     # -- queries --------------------------------------------------------
 
@@ -131,68 +104,29 @@ class CompressedTrie:
             return bisect_left(self._keys, x) + 1
         b = (x ^ s).bit_length() - 1
         if (x >> b) & 1:
-            pred = self._descend(set_low_bits(x, b, self.width))
+            pred = self._descend(x | ((2 << b) - 1))
             return bisect_left(self._keys, pred) + 1
-        succ = self._descend(clear_low_bits(x, b, self.width))
+        succ = self._descend(x >> (b + 1) << (b + 1))
         return bisect_left(self._keys, succ)
 
     # -- structure ------------------------------------------------------
 
-    @property
-    def keys(self) -> tuple[int, ...]:
-        return tuple(self._keys)
-
-    @property
-    def size(self) -> int:
-        return len(self._keys)
+    def _branches(self):
+        """Every branch node once, walked from the root."""
+        stack = [self.root] if self.root is not None else []
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _Branch):
+                yield node
+                stack.append(node.zero)
+                stack.append(node.one)
 
     def relevant_bits(self) -> tuple[int, ...]:
         """Deduplicated branch bit indices, descending."""
-        bits = set()
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Branch):
-                bits.add(node.bit)
-                stack.append(node.zero)
-                stack.append(node.one)
-        return tuple(sorted(bits, reverse=True))
+        return tuple(sorted({node.bit for node in self._branches()}, reverse=True))
 
     def internal_node_count(self) -> int:
-        count = 0
-        stack = [self.root] if self.root is not None else []
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Branch):
-                count += 1
-                stack.append(node.zero)
-                stack.append(node.one)
-        return count
-
-    def leaves(self):
-        """Keys in left-to-right leaf order (must equal sorted order)."""
-        out: list[int] = []
-        if self.root is None:
-            return out
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, _Leaf):
-                out.append(node.key)
-            else:
-                stack.append(node.one)
-                stack.append(node.zero)
-        return out
-
-    def to_tuple(self):
-        """Nested-tuple structural form: leaf -> key, branch -> (bit, zero, one)."""
-
-        def form(node):
-            if isinstance(node, _Leaf):
-                return node.key
-            return (node.bit, form(node.zero), form(node.one))
-
-        return None if self.root is None else form(self.root)
+        return sum(1 for _ in self._branches())
 
     def to_dot(self) -> str:
         """DOT graph: nodes named n<preorder-index>, 0-edges left, 1-edges right."""

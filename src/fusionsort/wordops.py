@@ -17,10 +17,6 @@ class WordError(ValueError):
     """Base error for word-level operations."""
 
 
-class IndexOutOfWidth(WordError):
-    """Bit index outside [0, width)."""
-
-
 def _check_width(width: int) -> None:
     if width not in WIDTHS:
         raise WordError(f"unsupported word width {width!r}; expected one of {WIDTHS}")
@@ -43,24 +39,3 @@ def check_word(value: int, width: int) -> int:
     if value < 0 or value >> width:
         raise WordError(f"value {value} out of range for a {width}-bit word")
     return value
-
-
-def _check_bit(b: int, width: int) -> None:
-    if isinstance(b, bool) or not isinstance(b, int):
-        raise WordError(f"bit index must be an int, got {type(b).__name__}")
-    if not 0 <= b < width:
-        raise IndexOutOfWidth(f"bit index {b} outside [0, {width})")
-
-
-def clear_low_bits(x: int, b: int, width: int = 64) -> int:
-    """x with bits b..0 forced to zero."""
-    check_word(x, width)
-    _check_bit(b, width)
-    return x & ~((1 << (b + 1)) - 1) & word_mask(width)
-
-
-def set_low_bits(x: int, b: int, width: int = 64) -> int:
-    """x with bits b..0 forced to one."""
-    check_word(x, width)
-    _check_bit(b, width)
-    return x | ((1 << (b + 1)) - 1)

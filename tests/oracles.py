@@ -1,19 +1,29 @@
 """Reference implementations the tests check the package against.
 
 Word primitives the package itself never calls: floor-lg (plain and by
-de Bruijn multiplication), the differing-bit position, the low-bit mask
-and the packed-block masks that a node's query-replication multiplier
-and separator mask must equal.  Also the per-bit exact sketch and the
-per-pattern order check of a multiplicative sketch constant.  And the
-per-call input generator that ``bench.generate`` must reproduce key for
-key, and the loop form of ``FusionNode.locate`` that its straight-line
-passes must match probe for probe.
+de Bruijn multiplication), the differing-bit position, the low-bit mask,
+forcing a word's low bits to ones or zeros (with the bit-index check and
+its ``IndexOutOfWidth``), and the packed-block masks that a node's
+query-replication multiplier and separator mask must equal.  Also the
+per-bit exact sketch and the per-pattern order check of a multiplicative
+sketch constant.  The compressed trie's in-place splice (``trie_insert``)
+and its two whole-structure walks (``trie_leaves``, ``trie_to_tuple``),
+which check that a spliced trie equals the one built from all its keys.
+And the per-call input generator that ``bench.generate`` must reproduce
+key for key, and the loop form of ``FusionNode.locate`` that its
+straight-line passes must match probe for probe.
 """
 
 import random
+from bisect import insort
 
-from fusionsort.wordops import (WIDTHS, WordError, _check_bit, _check_width,
-                                check_word, word_mask)
+from fusionsort.trie import DuplicateKey, _Branch, _Leaf
+from fusionsort.wordops import (WIDTHS, WordError, _check_width, check_word,
+                                word_mask)
+
+
+class IndexOutOfWidth(WordError):
+    """Bit index outside [0, width)."""
 
 
 class ZeroWord(WordError):
@@ -84,6 +94,27 @@ def delta(s1: int, s2: int, width: int = 64) -> int:
     return (s1 ^ s2).bit_length() - 1
 
 
+def _check_bit(b: int, width: int) -> None:
+    if isinstance(b, bool) or not isinstance(b, int):
+        raise WordError(f"bit index must be an int, got {type(b).__name__}")
+    if not 0 <= b < width:
+        raise IndexOutOfWidth(f"bit index {b} outside [0, {width})")
+
+
+def clear_low_bits(x: int, b: int, width: int = 64) -> int:
+    """x with bits b..0 forced to zero."""
+    check_word(x, width)
+    _check_bit(b, width)
+    return x & ~((1 << (b + 1)) - 1) & word_mask(width)
+
+
+def set_low_bits(x: int, b: int, width: int = 64) -> int:
+    """x with bits b..0 forced to one."""
+    check_word(x, width)
+    _check_bit(b, width)
+    return x | ((1 << (b + 1)) - 1)
+
+
 def trailing_ones_mask(b: int, width: int = 64) -> int:
     """Word with bits b..0 set and all higher bits clear: 2**(b+1) - 1."""
     _check_width(width)
@@ -144,6 +175,60 @@ def order_preserving(bits_asc, width, mult, shift, plen) -> bool:
             return False
         prev = img
     return True
+
+
+def trie_insert(trie, x: int):
+    """Splice x into a ``CompressedTrie`` in place; the single new branch
+    bit is delta(x, trs(x)).  Must give the trie built from all the keys."""
+    check_word(x, trie.width)
+    if trie.root is None:
+        trie.root = _Leaf(x)
+        trie._keys = [x]
+        return trie
+    s = trie._descend(x)
+    if s == x:
+        raise DuplicateKey(f"duplicate key {x}")
+    b = (x ^ s).bit_length() - 1
+    leaf = _Leaf(x)
+    parent = None
+    node = trie.root
+    while isinstance(node, _Branch) and node.bit > b:
+        parent = node
+        node = node.one if (x >> node.bit) & 1 else node.zero
+    branch = _Branch(b, node, leaf) if (x >> b) & 1 else _Branch(b, leaf, node)
+    if parent is None:
+        trie.root = branch
+    elif parent.one is node:
+        parent.one = branch
+    else:
+        parent.zero = branch
+    insort(trie._keys, x)
+    return trie
+
+
+def trie_leaves(trie) -> list[int]:
+    """Keys in left-to-right leaf order (must equal sorted order)."""
+    out: list[int] = []
+    stack = [trie.root] if trie.root is not None else []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, _Leaf):
+            out.append(node.key)
+        else:
+            stack.append(node.one)
+            stack.append(node.zero)
+    return out
+
+
+def trie_to_tuple(trie):
+    """Nested-tuple structural form: leaf -> key, branch -> (bit, zero, one)."""
+
+    def form(node):
+        if isinstance(node, _Leaf):
+            return node.key
+        return (node.bit, form(node.zero), form(node.one))
+
+    return None if trie.root is None else form(trie.root)
 
 
 def generate(dist: str, n: int, seed: int, width: int) -> list[int]:

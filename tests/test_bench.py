@@ -249,11 +249,12 @@ def test_cli_rejects_bad_config():
     assert res.returncode == 2
 
 
-def test_cli_sort_file(tmp_path):
+@pytest.mark.parametrize("algo", ALGOS)
+def test_cli_sort_file(tmp_path, algo):
     inp = tmp_path / "in.txt"
     outp = tmp_path / "out.txt"
     inp.write_text("9\n3\n7\n3\n")
-    res = _run_cli("--algo", "fusion", "--width", "16",
+    res = _run_cli("--algo", algo, "--width", "16",
                    "--in", str(inp), "--out", str(outp))
     assert res.returncode == 0, res.stderr
     got, _ = read_keys(str(outp))
@@ -362,6 +363,60 @@ def test_cli_in_refuses_generation_flags(tmp_path, capsys, flag, value):
     assert not out.exists()
     assert cli_main(["--in", str(inp), "--out", str(out)]) == 0
     assert out.read_text().split() == ["3", "9"]
+
+
+def test_cli_in_cap_reaches_only_the_trees(tmp_path, capsys):
+    # a file sort is not validated as a whole: only a tree checks --cap
+    inp = tmp_path / "k.txt"
+    inp.write_text("9\n3\n")
+    assert cli_main(["--in", str(inp), "--algo", "stdsort", "--cap", "20"]) == 0
+    assert capsys.readouterr().out.split() == ["3", "9"]
+    err = _cli_fails(capsys, 2, "--in", str(inp), "--algo", "fusion", "--cap", "20")
+    assert err.startswith("invalid configuration: ")
+
+
+def test_cli_out_binary_needs_out(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    err = _cli_fails(capsys, 2, "--n", "5", "--out-binary")
+    assert err.startswith("invalid configuration: ")
+    assert "--out-binary" in err and "--out" in err
+    assert list(tmp_path.iterdir()) == []
+    inp = tmp_path / "k.txt"
+    inp.write_text("9\n3\n")
+    _cli_fails(capsys, 2, "--in", str(inp), "--out-binary")
+    out = tmp_path / "o.bin"
+    assert cli_main(["--in", str(inp), "--width", "16", "--out", str(out),
+                     "--out-binary"]) == 0
+    assert read_keys(str(out)) == ([3, 9], 16)
+
+
+@pytest.mark.parametrize("algo", [a for a in ALGOS if a != "fusion"])
+def test_cli_strategy_only_with_fusion(tmp_path, capsys, algo):
+    for strategy in ("exact", "multiplicative"):
+        err = _cli_fails(capsys, 2, "--n", "5", "--algo", algo,
+                         "--strategy", strategy)
+        assert err.startswith("invalid configuration: ")
+        assert "--strategy" in err and "fusion" in err
+    inp = tmp_path / "k.txt"
+    inp.write_text("9\n3\n")
+    _cli_fails(capsys, 2, "--in", str(inp), "--algo", algo, "--strategy", "exact")
+    assert cli_main(["--n", "5", "--algo", algo]) == 0
+
+
+def test_cli_fusion_strategy_default_and_choice(tmp_path, monkeypatch):
+    seen = []
+    real_run, real_once = cli.run_with_output, cli._run_once
+    monkeypatch.setattr(cli, "run_with_output",
+                        lambda cfg: seen.append(cfg.strategy) or real_run(cfg))
+    monkeypatch.setattr(cli, "_run_once",
+                        lambda cfg, data: seen.append(cfg.strategy) or real_once(cfg, data))
+    inp = tmp_path / "k.txt"
+    inp.write_text("9\n3\n")
+    assert cli_main(["--n", "50"]) == 0
+    assert cli_main(["--n", "50", "--strategy", "exact"]) == 0
+    assert cli_main(["--in", str(inp)]) == 0
+    assert cli_main(["--in", str(inp), "--strategy", "exact"]) == 0
+    assert seen == ["multiplicative", "exact"] * 2
 
 
 @pytest.mark.parametrize("times,want", [((4, 1, 2, 9), "3.000"),

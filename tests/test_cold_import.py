@@ -82,7 +82,7 @@ def test_scheme_fields_defaults_and_immutability():
     assert s._fields == ("width", "relevant_bits", "mask", "strategy",
                          "padded_length", "multiplier", "shift", "fallback")
     assert (s.multiplier, s.shift, s.fallback) == (None, None, False)
-    assert s.length == 3 and s.sketch(0b11100111) == 0b101
+    assert s.padded_length == 3 and s.sketch(0b11100111) == 0b101
     assert repr(s) == ("SketchScheme(width=8, relevant_bits=(5, 4, 0), mask=49, "
                        "strategy='exact', padded_length=3, multiplier=None, "
                        "shift=None, fallback=False)")
@@ -145,8 +145,8 @@ def test_op_counters_contract():
     assert c.snapshot() == (5, 2)
     assert OpCounters() == OpCounters(0, 0) and OpCounters(1) != OpCounters()
     assert OpCounters(3, 4) != (3, 4)
-    c.add(OpCounters(key_compares=7, word_ops=1))
-    c.word_ops += 1
+    c.key_compares += 7
+    c.word_ops += 2
     assert c == OpCounters(7, 9) and c.snapshot() == (7, 9)
     assert repr(c) == "OpCounters(word_ops=7, key_compares=9)"
     with pytest.raises(TypeError):

@@ -290,7 +290,8 @@ def _exit(n, x, answer, trace):
     if x < s:
         return "pass 2 down"
     y = x | ((1 << (x ^ s).bit_length()) - 1)
-    return ("pass 2 saturated" if n.scheme.sketch(y) == (1 << n._plen) - 1
+    return ("pass 2 saturated"
+            if n.scheme.sketch(y) == (1 << n.scheme.padded_length) - 1
             else "pass 2 up")
 
 

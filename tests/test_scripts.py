@@ -30,11 +30,14 @@ def test_growth_study():
         ("fusion", "100"), ("btree", "100"), ("fusion", "1000"), ("btree", "1000")]
 
 
-def test_node_anatomy():
+def test_node_anatomy(tmp_path):
+    dot = tmp_path / "trie.dot"
     lines = _run_script("node_anatomy.py", "--keys", "223", "224", "225", "254",
-                        "--width", "16", "--query", "231")
+                        "--width", "16", "--query", "231", "--dot", str(dot))
     assert "  masked         = 136" in lines
     assert "  rank           = 3" in lines
+    assert f"wrote {dot}" in lines
+    assert dot.read_text() == CompressedTrie([223, 224, 225, 254], width=16).to_dot()
 
 
 def test_node_anatomy_multiplicative_64bit():

@@ -36,7 +36,7 @@ def test_scheme_from_trie_example():
 
 def test_scheme_from_empty_trie_is_empty():
     s = scheme_of(CompressedTrie([], width=8))
-    assert s.relevant_bits == () and s.length == 0
+    assert s.relevant_bits == () and s.padded_length == 0
     assert s.strategy == EXACT and not s.fallback
 
 
@@ -45,7 +45,7 @@ def test_scheme_single_key_trie():
     s = scheme_of(t)
     assert s.relevant_bits == ()
     assert s.mask == 0
-    assert s.length == 0
+    assert s.padded_length == 0
     assert s.sketch(0b1010) == 0
 
 
@@ -76,8 +76,8 @@ def test_sketch_exact_order_preserving_random():
         assert sks == [sketch_exact(s, k) for k in keys]
         assert sks == sorted(sks)
         assert len(set(sks)) == len(sks)
-        assert all(v < (1 << s.length) for v in sks)
-        assert s.length <= len(keys) - 1
+        assert all(v < (1 << s.padded_length) for v in sks)
+        assert s.padded_length <= len(keys) - 1
 
 
 def test_find_multiplier_single_bit():

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from fusionsort.trie import CompressedTrie, DuplicateKey, EmptyTrie
 
+from oracles import trie_insert, trie_leaves, trie_to_tuple
+
 # the four-key example set used throughout: branch bits b5, b4, b0
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
 
@@ -25,14 +27,14 @@ def test_build_two_keys_single_branch():
     t = CompressedTrie([0b11101001, 0b11111001], width=8)
     assert t.relevant_bits() == (4,)
     assert t.internal_node_count() == 1
-    assert t.leaves() == [0b11101001, 0b11111001]
+    assert trie_leaves(t) == [0b11101001, 0b11111001]
 
 
 def test_build_four_key_example():
     t = CompressedTrie(KEYS8, width=8)
     assert t.relevant_bits() == (5, 4, 0)
     assert t.internal_node_count() == 3
-    assert t.leaves() == sorted(KEYS8)
+    assert trie_leaves(t) == sorted(KEYS8)
 
 
 def test_build_singleton():
@@ -97,10 +99,13 @@ def test_rank_random_oracle():
             assert t.rank(x) == scan_rank(keys, x)
 
 
-@given(key_sets(width=16, max_size=10), st.integers(min_value=0, max_value=(1 << 16) - 1))
+@pytest.mark.parametrize("width", [8, 16, 64])
+@given(data=st.data())
 @settings(max_examples=200)
-def test_rank_matches_scan(keys, x):
-    t = CompressedTrie(keys, width=16)
+def test_rank_matches_scan(width, data):
+    keys = data.draw(key_sets(width=width, max_size=10))
+    x = data.draw(st.integers(min_value=0, max_value=(1 << width) - 1))
+    t = CompressedTrie(keys, width=width)
     assert t.rank(x) == scan_rank(keys, x)
 
 
@@ -110,9 +115,9 @@ def test_insert_matches_batch_build():
         keys = rng.sample(range(1 << 12), rng.randint(1, 10))
         inc = CompressedTrie([], width=16)
         for k in keys:
-            inc.insert(k)
+            trie_insert(inc, k)
         batch = CompressedTrie(keys, width=16)
-        assert inc.to_tuple() == batch.to_tuple()
+        assert trie_to_tuple(inc) == trie_to_tuple(batch)
 
 
 def test_insert_adds_single_branch_at_delta():
@@ -123,26 +128,26 @@ def test_insert_adds_single_branch_at_delta():
         x = rng.randrange(1 << 12)
         if x in keys:
             with pytest.raises(DuplicateKey):
-                t.insert(x)
+                trie_insert(t, x)
             continue
         before = t.internal_node_count()
         expect_bit = (x ^ t.trs(x)).bit_length() - 1
-        t.insert(x)
+        trie_insert(t, x)
         assert t.internal_node_count() == before + 1
         assert expect_bit in t.relevant_bits()
-        assert t.leaves() == sorted(keys + [x])
+        assert trie_leaves(t) == sorted(keys + [x])
 
 
 def test_insert_into_empty():
-    t = CompressedTrie([], width=8).insert(9)
-    assert t.leaves() == [9]
+    t = trie_insert(CompressedTrie([], width=8), 9)
+    assert trie_leaves(t) == [9]
 
 
 def test_fig_style_insert():
     t = CompressedTrie(KEYS8, width=8)
-    t.insert(0b11100111)
+    trie_insert(t, 0b11100111)
     assert t.relevant_bits() == (5, 4, 2, 0)
-    assert t.to_tuple() == CompressedTrie(KEYS8 + [0b11100111], width=8).to_tuple()
+    assert trie_to_tuple(t) == trie_to_tuple(CompressedTrie(KEYS8 + [0b11100111], width=8))
 
 
 @given(key_sets(width=32, max_size=16))
@@ -150,7 +155,7 @@ def test_structural_invariants(keys):
     t = CompressedTrie(keys, width=32)
     assert t.internal_node_count() == len(keys) - 1
     assert len(t.relevant_bits()) <= max(len(keys) - 1, 0)
-    assert t.leaves() == sorted(keys)
+    assert trie_leaves(t) == sorted(keys)
     # branch bits strictly decrease along every root-to-leaf path
     stack = [(t.root, 33)]
     while stack:

@@ -4,22 +4,22 @@ from hypothesis import strategies as st
 
 from fusionsort.wordops import (
     WIDTHS,
-    IndexOutOfWidth,
     WordError,
     check_word,
-    clear_low_bits,
-    set_low_bits,
     word_mask,
 )
 
 from oracles import (
     EqualWords,
+    IndexOutOfWidth,
     ZeroWord,
     block_leading_bits_mask,
     block_low_bits_mask,
+    clear_low_bits,
     delta,
     msb,
     msb_debruijn,
+    set_low_bits,
     trailing_ones_mask,
 )
 
