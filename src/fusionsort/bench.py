@@ -317,7 +317,7 @@ def write_keys(path: str, values, width: int, binary: bool = False) -> None:
 
 def read_keys(path: str, width: int = 64) -> tuple[list[int], int | None]:
     """Sniff the magic; returns (values, width from header or None for text).
-    Text keys must be ``width``-bit words; binary files carry their width."""
+    Text is ASCII decimal lines of ``width``-bit words; binary carries its width."""
     with open(path, "rb") as fh:
         head = fh.read(len(KEY_FILE_MAGIC))
         if head == KEY_FILE_MAGIC:
@@ -335,9 +335,9 @@ def read_keys(path: str, width: int = 64) -> tuple[list[int], int | None]:
             vals = [struct.unpack_from(fmt, payload, off)[0]
                     for off in range(0, len(payload), step)]
             return vals, width
-    vals = []
-    with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, 1):
+        fh.seek(0)
+        vals = []
+        for lineno, line in enumerate(fh, 1):  # int() parses ASCII bytes
             try:
                 vals.append(check_word(int(line), width))
             except WordError as exc:

@@ -1,12 +1,14 @@
-"""Command-line front end for the sorting benchmark.
+"""Command-line front end for the sorting benchmark, in three modes.
 
     bench --algo fusion --n 100000 --seed 1 --dist uniform --width 64 \
-          --cap 7 --trials 3 --csv out.csv
-
-    bench --demo [--dot trie.dot]      # worked-example trace, exits
+          --cap 7 --trials 3 --csv out.csv                  # generate
+    bench --in keys.txt [--out sorted.txt [--out-binary]]   # file: sort once
+    bench --demo [--dot trie.dot]      # demo: worked-example trace, exits
                                        # nonzero on any deviation
 
-    bench --in keys.txt [--out sorted.txt [--out-binary]]   # sort a file once
+``--demo`` picks the demo mode, else ``--in`` the file mode, else keys are
+generated.  ``FLAGS`` is the one table of the modes that read each flag; a
+flag given in any other mode exits 2 with one line naming it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .bench import (
     write_csv,
     write_keys,
 )
-from .sketch import MULTIPLICATIVE, STRATEGIES
+from .sketch import STRATEGIES
 from .wordops import WIDTHS
 
 EXIT_CODES = """exit codes:
@@ -39,61 +41,66 @@ EXIT_CODES = """exit codes:
   2  invalid arguments, configuration or key file, or a deviating worked example
   3  a file could not be read or written"""
 
-# generation flags and their defaults; --in takes none of them, so they
-# (and --strategy, which only --algo fusion takes) default to SUPPRESS and
-# only a flag actually given shows up in args
-GENERATION = {"n": 1000, "seed": 0, "dist": "uniform", "trials": 1}
+MODES = {"demo": "the worked example (--demo)", "file": "a file sort (--in)",
+         "generate": "a generated run"}
+SORTS, GEN = ("file", "generate"), ("generate",)
+PATH = dict(metavar="PATH")
+# flag: (modes that read it, help, add_argument keywords).  Every flag
+# defaults to SUPPRESS, so the parsed dict holds exactly the flags given.
+FLAGS = {
+    "--algo": (SORTS, "sorting algorithm", dict(choices=ALGOS)),
+    "--n": (GEN, "number of keys to generate", dict(type=int)),
+    "--seed": (GEN, "input seed", dict(type=int)),
+    "--dist": (GEN, "key distribution", dict(choices=DISTS)),
+    "--width": (SORTS, "key bits; a binary --in file must declare the same",
+                dict(type=int, choices=WIDTHS)),
+    "--cap": (SORTS, "max keys per tree node", dict(type=int)),
+    "--trials": (GEN, "timed runs", dict(type=int)),
+    "--strategy": (SORTS, "sketch strategy (only with --algo fusion)", dict(choices=STRATEGIES)),
+    "--csv": (GEN, "append one CSV row per trial", PATH),
+    "--demo": (("demo",), "print the worked-example trace", dict(action="store_true")),
+    "--dot": (("demo",), "write the demo's compressed trie as DOT", PATH),
+    "--in": (("file",), "sort a key file once (decimal lines, or binary)", PATH),
+    "--out": (SORTS, "write the sorted keys", PATH),
+    "--out-binary": (SORTS, "write --out in the binary key-file format (only "
+                     "with --out)", dict(action="store_true")),
+}
+# BenchConfig has no default for algo and n; every other default is its own
+DEFAULTS = {"algo": "fusion", "n": 1000, **BenchConfig._field_defaults}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line; the usage is in --help
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="bench",
-        description="Verified integer-sorting benchmark with word-op counting.",
+        description="Verified integer-sorting benchmark with word-op counting.\n"
+                    "Modes: --demo (demo), --in (file), neither (generate); a flag\n"
+                    "given outside the [modes] it lists exits 2.",
         epilog=EXIT_CODES,
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    p.add_argument("--algo", choices=ALGOS, default="fusion")
-    unset = argparse.SUPPRESS  # see GENERATION
-    p.add_argument("--n", type=int, default=unset,
-                   help="number of keys to generate (default 1000; not with --in)")
-    p.add_argument("--seed", type=int, default=unset,
-                   help="input seed (default 0; not with --in)")
-    p.add_argument("--dist", choices=DISTS, default=unset,
-                   help="key distribution (default uniform; not with --in)")
-    p.add_argument("--width", type=int, choices=WIDTHS, default=64)
-    p.add_argument("--cap", type=int, default=7, help="max keys per tree node")
-    p.add_argument("--trials", type=int, default=unset,
-                   help="timed runs (default 1; not with --in)")
-    p.add_argument("--strategy", choices=STRATEGIES, default=unset,
-                   help="sketch strategy (default multiplicative; only with "
-                        "--algo fusion)")
-    p.add_argument("--csv", metavar="PATH",
-                   help="append one CSV row per trial (not with --in or --demo)")
-    p.add_argument("--demo", action="store_true",
-                   help="print the worked-example trace and exit "
-                        "(not with --in, --out or --csv)")
-    p.add_argument("--dot", metavar="PATH",
-                   help="with --demo: write the demo compressed trie as DOT")
-    p.add_argument("--in", dest="infile", metavar="PATH",
-                   help="read keys from a file and sort them once instead of "
-                        "generating (decimal lines, or binary with the key-file "
-                        "header); not with --n, --seed, --dist or --trials")
-    p.add_argument("--out", metavar="PATH", help="write the sorted keys")
-    p.add_argument("--out-binary", action="store_true",
-                   help="write --out in the binary key-file format (only with --out)")
+    for flag, (modes, text, kw) in FLAGS.items():
+        default = f"; default {DEFAULTS[flag[2:]]}" if flag[2:] in DEFAULTS else ""
+        p.add_argument(flag, default=argparse.SUPPRESS,
+                       help=f"{text} [{', '.join(modes)}{default}]", **kw)
     return p
 
 
-def _sort_file(args) -> int:
-    values, file_width = read_keys(args.infile, args.width)
-    width = file_width or args.width
-    out = _run_once(BenchConfig(args.algo, len(values), width=width, cap=args.cap,
-                                strategy=args.strategy), values)[0]
+def _sort_file(given: dict, cfg: BenchConfig) -> int:
+    values, file_width = read_keys(given["in"], cfg.width)
+    if "width" in given and file_width not in (None, cfg.width):
+        raise BadKeyFile(f"it declares width {file_width}, not --width {cfg.width}")
+    cfg = cfg._replace(n=len(values), width=file_width or cfg.width)
+    out = _run_once(cfg, values)[0]
     if out != sorted(values):
         raise VerificationFailed("file sort disagrees with the reference sort")
-    if args.out:
-        write_keys(args.out, out, width, binary=args.out_binary)
-        print(f"sorted {len(out)} keys ({args.algo}, width {width}) -> {args.out}")
+    if "out" in given:
+        write_keys(given["out"], out, cfg.width, binary="out_binary" in given)
+        print(f"sorted {len(out)} keys ({cfg.algo}, width {cfg.width}) -> {given['out']}")
     else:
         for v in out:
             print(v)
@@ -101,14 +108,14 @@ def _sort_file(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    given = vars(_build_parser().parse_args(argv))
     try:
-        return _run(args)
+        return _run(given)
     except GoldenMismatch as exc:
         print(f"worked example DEVIATED: {exc}", file=sys.stderr)
         return 2
     except BadKeyFile as exc:
-        print(f"bad key file {args.infile}: {exc}", file=sys.stderr)
+        print(f"bad key file {given['in']}: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:  # InvalidConfig and out-of-range keys
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -121,39 +128,30 @@ def main(argv=None) -> int:
         return 3
 
 
-def _run(args) -> int:
-    given = vars(args)
-    if args.out_binary and not args.out:
-        raise InvalidConfig("--out-binary is used only with --out")
-    if args.demo:
-        for flag, dest in (("--in", "infile"), ("--out", "out"), ("--csv", "csv")):
-            if given[dest]:
-                raise InvalidConfig(f"{flag} is not used with --demo "
-                                    "(the worked example has its own keys)")
-        print(demo_walkthrough(dot_path=args.dot), end="")
+def _run(given: dict) -> int:
+    mode = "demo" if "demo" in given else "file" if "in" in given else "generate"
+    for dest in given:  # command-line order: the first stray flag is named
+        flag = "--" + dest.replace("_", "-")
+        if mode not in FLAGS[flag][0]:
+            raise InvalidConfig(f"{flag} is not used in {MODES[mode]}, only in "
+                                + " or ".join(MODES[m] for m in FLAGS[flag][0]))
+    if mode == "demo":
+        print(demo_walkthrough(dot_path=given.get("dot")), end="")
         return 0
-    if args.dot:
-        raise InvalidConfig("--dot is written only with --demo")
-    if "strategy" in given and args.algo != "fusion":
+    settings = {**DEFAULTS, **given}
+    if "strategy" in given and settings["algo"] != "fusion":
         raise InvalidConfig("--strategy is used only with --algo fusion")
-    given.setdefault("strategy", MULTIPLICATIVE)  # given is args' own dict
-    if args.infile:
-        if args.csv:
-            raise InvalidConfig("--csv is not written with --in (a file sort has no trials)")
-        for name in GENERATION:
-            if name in given:
-                raise InvalidConfig(f"--{name} is not used with --in "
-                                    "(the file's keys are sorted once)")
-        return _sort_file(args)
+    if "out_binary" in given and "out" not in given:
+        raise InvalidConfig("--out-binary is used only with --out")
+    cfg = BenchConfig(**{k: settings[k] for k in BenchConfig._fields})
+    if mode == "file":
+        return _sort_file(given, cfg)
 
-    cfg = BenchConfig(algo=args.algo, width=args.width, cap=args.cap,
-                      strategy=args.strategy,
-                      **{k: given.get(k, v) for k, v in GENERATION.items()})
     records, out = run_with_output(cfg)
-    if args.csv:
-        write_csv(args.csv, records)
-    if args.out:
-        write_keys(args.out, out, cfg.width, binary=args.out_binary)
+    if "csv" in given:
+        write_csv(given["csv"], records)
+    if "out" in given:
+        write_keys(given["out"], out, cfg.width, binary="out_binary" in given)
 
     times = sorted(r.wall_time_ns for r in records)  # even count: mean of middle two
     median_ns = (times[(len(times) - 1) // 2] + times[len(times) // 2]) / 2

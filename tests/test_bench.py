@@ -1,9 +1,12 @@
 import hashlib
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fusionsort.bench import (
     ALGOS,
@@ -466,3 +469,101 @@ def test_cli_help_lists_exit_codes(capsys):
     assert "exit codes:" in out
     for code in "0123":
         assert f"\n  {code}  " in out
+
+
+def test_cli_binary_in_width_must_match(tmp_path, capsys):
+    # a binary key file carries its width; a --width given must agree with it
+    path = tmp_path / "k64.bin"
+    write_keys(str(path), [9, 3], 64, binary=True)
+    err = _cli_fails(capsys, 2, "--in", str(path), "--width", "8")
+    assert err == f"bad key file {path}: it declares width 64, not --width 8\n"
+    assert cli_main(["--in", str(path), "--width", "64"]) == 0
+    assert capsys.readouterr().out.split() == ["3", "9"]
+
+
+def test_cli_non_utf8_key_file_names_the_line(tmp_path, capsys):
+    path = tmp_path / "keys.txt"
+    path.write_bytes(b"9\n\xe9\n3\n")
+    err = _cli_fails(capsys, 2, "--in", str(path))
+    assert err.startswith(f"bad key file {path}: line 2: ")
+
+
+@pytest.mark.parametrize("args", [("--algo", "foo"), ("--n", "x"), ("--nope",)])
+def test_cli_argparse_error_is_one_line(args):
+    res = _run_cli(*args)
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr.count("\n") == 1 and res.stderr.startswith("bench: error:")
+
+
+_FLAGS = [a.option_strings[0] for a in cli._build_parser()._actions
+          if "-h" not in a.option_strings]
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+@pytest.mark.parametrize("flag", _FLAGS)
+def test_cli_flag_table_covers_every_flag(tmp_path, capsys, flag, mode):
+    # every flag the parser takes is either read in a mode (exit 0) or
+    # refused there: exit 2, one line naming the flag, no output, no file
+    keys = tmp_path / "keys.txt"
+    keys.write_text("9\n3\n")
+    base = {"demo": ["--demo"], "file": ["--in", str(keys)], "generate": ["--n", "5"]}
+    action = next(a for a in cli._build_parser()._actions
+                  if flag in a.option_strings)
+    if action.nargs == 0:
+        extra = [flag] + (["--out", str(tmp_path / "o")] if flag == "--out-binary" else [])
+    elif flag == "--in":
+        extra = [flag, str(keys)]
+    elif action.choices:
+        extra = [flag, str(action.choices[-1])]
+    elif action.type is int:
+        extra = [flag, "5"]
+    else:
+        extra = [flag, str(tmp_path / "o")]
+    code = cli_main(base[mode] + extra)
+    out, err = capsys.readouterr()
+    if mode in cli.FLAGS[flag][0]:
+        assert code == 0 and err == "", err
+        return
+    assert code == 2 and out == "" and err.count("\n") == 1, err
+    assert re.search(rf"(?<![\w-]){flag}(?![\w-])", err), err
+    assert list(tmp_path.iterdir()) == [keys]
+
+
+_KEY_FILES = st.one_of(
+    st.binary(max_size=80),
+    st.lists(st.integers(-3, 1 << 66), max_size=20).map(
+        lambda xs: "".join(f"{x}\n" for x in xs).encode()),
+    st.tuples(st.one_of(st.sampled_from(WIDTHS), st.integers(0, 255)),
+              st.binary(max_size=80)).map(
+        lambda wp: KEY_FILE_MAGIC + bytes([wp[0]]) + wp[1]),
+)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=_KEY_FILES)
+def test_cli_in_fuzz(tmp_path, capsys, data):
+    # any --in file is sorted (exit 0) or refused with one "bad key file" line
+    path = tmp_path / "keys"
+    path.write_bytes(data)
+    code = cli_main(["--in", str(path)])
+    out, err = capsys.readouterr()
+    assert code in (0, 2) and "Traceback" not in err
+    if code == 2:
+        assert err.count("\n") == 1 and err.startswith("bad key file"), err
+        return
+    got = [int(line) for line in out.splitlines()]
+    assert got == sorted(got) == sorted(read_keys(str(path))[0])
+
+
+def test_readme_flag_table_matches_cli():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "README.md")) as fh:
+        rows = [[c.strip() for c in line.strip().strip("|").split("|")]
+                for line in fh if line.startswith("| ")]
+    header = next(r for r in rows if r[0] == "flag")
+    assert header[1:] == list(cli.MODES)
+    table = {r[0].strip("`"): {m for m, c in zip(header[1:], r[1:]) if c}
+             for r in rows if r[0].startswith("`--")}
+    assert sorted(table) == sorted(_FLAGS)
+    assert table == {f: set(modes) for f, (modes, *_) in cli.FLAGS.items()}
