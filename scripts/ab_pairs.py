@@ -5,9 +5,10 @@ Loads the ``fusionsort`` package of each ``src/`` directory under its own
 module name, so both versions run in one process on one input.  First it
 checks, for every ``--dist`` value over four (width, cap) shapes at a
 fixed seed, that both sides' ``bench.generate`` draw the same keys, and
-that both sorters (the fusion tree under each sketch strategy, and the
-B-tree) give the same output, word ops, key compares, height and splits
-on the base side's keys.  Each of those trees then answers a seeded probe
+that both sides' sorters (the fusion tree under each sketch strategy,
+and the B-tree) give the same output, word ops, key compares, height and
+splits on the base side's keys, and ``bench.mergesort`` the same output
+and key compares.  Each of those trees then answers a seeded probe
 set (both ends of the word, sampled keys and their neighbours, random
 words) with ``search``, ``rank``, ``predecessor`` and ``successor``, and
 both sides must give the same answer and charge the same word ops and
@@ -60,7 +61,11 @@ def load(src: str, name: str):
 def sort(pkg, algo: str, data, width: int, cap: int = CAP,
          strategy: str = "multiplicative"):
     """(output, (word_ops, key_compares, height, splits), tree) of one
-    sort; ``strategy`` is the fusion tree's sketch strategy."""
+    sort; ``strategy`` is the fusion tree's sketch strategy.  ``mergesort``
+    has no tree: (output, (word_ops, key_compares), None)."""
+    if algo == "mergesort":
+        c = pkg.counters.OpCounters()
+        return pkg.bench.mergesort(data, c), (c.word_ops, c.key_compares), None
     if algo == "btree":
         out, tree = pkg.btree_sort_with_stats(data, width=width, cap=cap)
     else:
@@ -101,7 +106,8 @@ def cold(pkg) -> None:
 
 
 def check(base, change, seed: int) -> int:
-    algos = (("fusion", "multiplicative"), ("fusion", "exact"), ("btree", ""))
+    algos = (("fusion", "multiplicative"), ("fusion", "exact"), ("btree", ""),
+             ("mergesort", ""))
     rows = bad = 0
     for dist in base.bench.DISTS:
         for width, cap in SHAPES:
@@ -126,6 +132,8 @@ def check(base, change, seed: int) -> int:
                     print(f"MISMATCH {name} dist={dist} width={width} cap={cap}: "
                           f"base {a[1]}, change {b[1]}, outputs "
                           f"{'equal' if a[0] == b[0] else 'differ'}")
+                if tree_a is None:  # mergesort: no tree to read
+                    continue
                 ra, rb = reads(tree_a, xs), reads(tree_b, xs)
                 if ra != rb:
                     bad += 1

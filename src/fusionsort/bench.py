@@ -19,7 +19,7 @@ from .fusion_node import CAP_LIMIT, FusionNode
 from .fusion_tree import fusion_sort_with_stats
 from .sketch import EXACT, MULTIPLICATIVE, STRATEGIES
 from .trie import CompressedTrie
-from .wordops import WIDTHS, WordError, check_word
+from .wordops import WIDTHS, check_word
 
 ALGOS = ("fusion", "btree", "mergesort", "stdsort")
 DISTS = ("uniform", "sorted", "reverse", "clustered", "duplicates")
@@ -152,8 +152,6 @@ def mergesort(values, counters: OpCounters | None = None) -> list[int]:
             hi = min(lo + 2 * run, n)
             i, j, k = lo, mid, lo
             while i < mid and j < hi:
-                if counters is not None:
-                    counters.key_compares += 1
                 if src[j] < src[i]:
                     dst[k] = src[j]
                     j += 1
@@ -161,6 +159,8 @@ def mergesort(values, counters: OpCounters | None = None) -> list[int]:
                     dst[k] = src[i]
                     i += 1
                 k += 1
+            if counters is not None:  # the loop compared once per element it placed
+                counters.key_compares += k - lo
             if i < mid:
                 dst[k:hi] = src[i:mid]
             else:
@@ -337,13 +337,13 @@ def read_keys(path: str, width: int = 64) -> tuple[list[int], int | None]:
             return vals, width
         fh.seek(0)
         vals = []
-        for lineno, line in enumerate(fh, 1):  # int() parses ASCII bytes
-            try:
-                vals.append(check_word(int(line), width))
-            except WordError as exc:
-                raise BadKeyFile(f"line {lineno}: {exc}") from None
-            except ValueError:
-                if line.strip():
-                    raise BadKeyFile(f"line {lineno}: not a decimal key: "
-                                     f"{line.strip()[:40]!r}") from None
+        for lineno, line in enumerate(fh, 1):
+            text = line.strip()
+            if text.removeprefix(b"-").isdigit():  # int() also takes 1_000, +5
+                try:
+                    vals.append(check_word(int(text), width))
+                except ValueError as exc:  # out of width, or past int()'s digit cap
+                    raise BadKeyFile(f"line {lineno}: {exc}") from None
+            elif text:
+                raise BadKeyFile(f"line {lineno}: not a decimal key: {text[:40]!r}")
     return vals, None

@@ -148,10 +148,10 @@ def _run(given: dict) -> int:
         return _sort_file(given, cfg)
 
     records, out = run_with_output(cfg)
+    if "out" in given:  # first, so a failing --out appends no CSV row
+        write_keys(given["out"], out, cfg.width, binary="out_binary" in given)
     if "csv" in given:
         write_csv(given["csv"], records)
-    if "out" in given:
-        write_keys(given["out"], out, cfg.width, binary="out_binary" in given)
 
     times = sorted(r.wall_time_ns for r in records)  # even count: mean of middle two
     median_ns = (times[(len(times) - 1) // 2] + times[len(times) // 2]) / 2

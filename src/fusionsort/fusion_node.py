@@ -74,7 +74,7 @@ def _view(i: int) -> property:
 
 
 class FusionNode:
-    __slots__ = ("width", "cap", "strategy", "keys", "children",
+    __slots__ = ("width", "strategy", "keys", "children",
                  "subtree_size", "_state")
 
     def __init__(self, keys, *, width: int = 64, cap: int = 7,
@@ -102,7 +102,6 @@ class FusionNode:
         if len(ks) > cap:
             raise CapacityExceeded(f"{len(ks)} keys exceed cap {cap}")
         self.width = width
-        self.cap = cap
         self.strategy = strategy
         self.keys: list[int] = ks
         self.children: list[FusionNode] | None = None

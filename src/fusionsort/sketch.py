@@ -59,7 +59,7 @@ class SketchScheme(namedtuple(
         most significant first (exact), or relocated into the padded
         window by one masked multiplication (multiplicative)."""
         if self.strategy == MULTIPLICATIVE:
-            prod = ((x & self.mask) * self.multiplier) & word_mask(self.width)
+            prod = (x & self.mask) * self.multiplier
             return (prod >> self.shift) & ((1 << self.padded_length) - 1)
         s = 0
         for b in self.relevant_bits:
@@ -107,8 +107,8 @@ def _scheme_cached(
                 "multiplicative sketch fallback: bits=%s width=%d cap=%s",
                 bits, width, max_padded_length)
         return SketchScheme(width, bits, mask, EXACT, len(bits), fallback=True)
-    # the window lies inside the word, so masking the product to the word
-    # before the shift changes no sketch bit (locate and _ensure skip it)
+    # the window lies inside the word, so no word mask is needed on the
+    # product before the shift (sketch, locate and _ensure apply none)
     assert shift + plen <= width, (bits, mult, shift, plen)
     return SketchScheme(width, bits, mask, MULTIPLICATIVE, plen, mult, shift)
 
@@ -145,6 +145,21 @@ def find_multiplier(
 
 @lru_cache(maxsize=65536)
 def _find_multiplier_cached(bits: tuple[int, ...], width: int, lcap: int):
+    """Depth-first search: split the ascending bits into consecutive runs,
+    one shift sigma per run, so each run's image mirrors its spacing in
+    the window [0, lcap), lcap <= width (``find_multiplier`` clamps it).
+    A run is placed only if no bit b outside it has b + sigma in the
+    window, or below it where another run already put a product term (a
+    carry could ripple up).  So the last run, holding the top bit at
+    offset next_off - 1, has the smallest shift: an earlier run whose
+    first bit b_i sits at offset o >= 0 (so -sigma <= b_i) with a smaller
+    shift would put the top bit at next_off - 1 - (sigma_last - sigma) <
+    lcap, hence top + sigma < 0 and top < b_i, which is impossible.  The
+    product offset is then base = top + 1 - next_off (>= 1, as the bits
+    span more than lcap), every base + sigma >= 0, and the window ends
+    at the top bit, inside the word.  A repeated shift would have put
+    its run's first bit in the window, so the multiplier is a sum of
+    distinct powers.  Only the final verification reads ``width``."""
     r = len(bits)
     if lcap < r:
         raise NoValidMultiplier(f"window cap {lcap} below bit count {r}")
@@ -157,57 +172,30 @@ def _find_multiplier_cached(bits: tuple[int, ...], width: int, lcap: int):
             return result
         raise NoValidMultiplier("degenerate single-shift scheme failed verification")
 
-    # General case: partition the ascending bits into consecutive runs,
-    # one shift per run, so each run's window image mirrors its internal
-    # spacing.  Cross-run product terms must fall outside the window
-    # [0, lcap) and must not collide below it, where a carry could ripple
-    # upward into the extracted field.
     budget = [_SEARCH_BUDGET]
     sigmas: list[int] = []
-    offsets: list[int] = [0] * r  # window offset of each bit's target
     negatives: set[int] = set()
 
     def place(i: int, next_off: int):
-        if budget[0] <= 0:
-            return None
         if i == r:
-            base = max(0, max(bits[k] - offsets[k] for k in range(r)))
-            last = offsets[r - 1]
-            if base + last >= width:
-                return None
-            mult = 0
-            for sg in set(sigmas):
-                mult |= 1 << (base + sg)
-            return (mult, base, last + 1)
+            base = bits[-1] + 1 - next_off
+            return (sum(1 << (base + sg) for sg in sigmas), base, next_off)
         for j in range(r - 1, i - 1, -1):  # longest run first
             gspan = bits[j] - bits[i] + 1
-            if i == 0:
-                bases = (0,) if gspan <= lcap else ()
-            else:
-                bases = range(next_off, lcap - gspan + 1)
-            for o in bases:
+            last = lcap - gspan if i else min(0, lcap - gspan)  # run 0 at offset 0
+            for o in range(next_off, last + 1):
                 budget[0] -= 1
                 if budget[0] <= 0:
                     return None
                 sigma = o - bits[i]
-                if sigma in sigmas:
-                    continue  # covered by the merged-run alternative
                 fresh: list[int] = []
-                ok = True
-                for k in range(r):
-                    if i <= k <= j:
-                        offsets[k] = o + (bits[k] - bits[i])
-                        continue
-                    p = bits[k] + sigma
-                    if 0 <= p < lcap:
-                        ok = False  # stray inside the window
-                        break
+                for b in bits[:i] + bits[j + 1:]:
+                    p = b + sigma
+                    if 0 <= p < lcap or p in negatives:
+                        break  # a stray in the window or a collision below it
                     if p < 0:
-                        if p in negatives:
-                            ok = False  # collision below the window
-                            break
                         fresh.append(p)
-                if ok:
+                else:
                     sigmas.append(sigma)
                     negatives.update(fresh)
                     found = place(j + 1, o + gspan)

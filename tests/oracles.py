@@ -10,13 +10,15 @@ sketch constant.  The compressed trie's in-place splice (``trie_insert``)
 and its two whole-structure walks (``trie_leaves``, ``trie_to_tuple``),
 which check that a spliced trie equals the one built from all its keys.
 And the per-call input generator that ``bench.generate`` must reproduce
-key for key, and the loop form of ``FusionNode.locate`` that its
-straight-line passes must match probe for probe.
+key for key, the loop form of ``FusionNode.locate`` that its
+straight-line passes must match probe for probe, and the fuller
+multiplier search whose constants the lean one must equal.
 """
 
 import random
 from bisect import insort
 
+from fusionsort.sketch import _SEARCH_BUDGET, NoValidMultiplier, _order_preserving
 from fusionsort.trie import DuplicateKey, _Branch, _Leaf
 from fusionsort.wordops import (WIDTHS, WordError, _check_width, check_word,
                                 word_mask)
@@ -334,3 +336,86 @@ def locate(node, x: int, ops, trace: dict | None = None):
     ops.word_ops += w
     ops.key_compares += kc + 1 if c else kc  # ... plus the membership compare
     return c, False
+
+
+def find_multiplier_dfs(bits: tuple[int, ...], width: int, lcap: int):
+    """Reference for ``sketch._find_multiplier_cached`` (uncached): the
+    search with a per-bit offsets list, a width test at the leaf, a
+    repeated-shift skip and a budget test on entry.  Must return the
+    same (multiplier, shift, padded_length) or raise as it does."""
+    r = len(bits)
+    if lcap < r:
+        raise NoValidMultiplier(f"window cap {lcap} below bit count {r}")
+
+    span = bits[-1] - bits[0] + 1
+    if span <= lcap:
+        # One shared shift: the bits are already close enough together.
+        result = (1, bits[0], span)
+        if _order_preserving(bits, width, *result):
+            return result
+        raise NoValidMultiplier("degenerate single-shift scheme failed verification")
+
+    # General case: partition the ascending bits into consecutive runs,
+    # one shift per run, so each run's window image mirrors its internal
+    # spacing.  Cross-run product terms must fall outside the window
+    # [0, lcap) and must not collide below it, where a carry could ripple
+    # upward into the extracted field.
+    budget = [_SEARCH_BUDGET]
+    sigmas: list[int] = []
+    offsets: list[int] = [0] * r  # window offset of each bit's target
+    negatives: set[int] = set()
+
+    def place(i: int, next_off: int):
+        if budget[0] <= 0:
+            return None
+        if i == r:
+            base = max(0, max(bits[k] - offsets[k] for k in range(r)))
+            last = offsets[r - 1]
+            if base + last >= width:
+                return None
+            mult = 0
+            for sg in set(sigmas):
+                mult |= 1 << (base + sg)
+            return (mult, base, last + 1)
+        for j in range(r - 1, i - 1, -1):  # longest run first
+            gspan = bits[j] - bits[i] + 1
+            if i == 0:
+                bases = (0,) if gspan <= lcap else ()
+            else:
+                bases = range(next_off, lcap - gspan + 1)
+            for o in bases:
+                budget[0] -= 1
+                if budget[0] <= 0:
+                    return None
+                sigma = o - bits[i]
+                if sigma in sigmas:
+                    continue  # covered by the merged-run alternative
+                fresh: list[int] = []
+                ok = True
+                for k in range(r):
+                    if i <= k <= j:
+                        offsets[k] = o + (bits[k] - bits[i])
+                        continue
+                    p = bits[k] + sigma
+                    if 0 <= p < lcap:
+                        ok = False  # stray inside the window
+                        break
+                    if p < 0:
+                        if p in negatives:
+                            ok = False  # collision below the window
+                            break
+                        fresh.append(p)
+                if ok:
+                    sigmas.append(sigma)
+                    negatives.update(fresh)
+                    found = place(j + 1, o + gspan)
+                    if found is not None:
+                        return found
+                    sigmas.pop()
+                    negatives.difference_update(fresh)
+        return None
+
+    result = place(0, 0)
+    if result is not None and _order_preserving(bits, width, *result):
+        return result
+    raise NoValidMultiplier(f"no constant found for bits {bits} within window {lcap}")

@@ -143,6 +143,20 @@ def test_mergesort_stable_comparison_count():
     assert c.key_compares <= 1024 * 10
 
 
+@pytest.mark.parametrize("dist,n,compares", [
+    ("uniform", 0, 0), ("uniform", 1, 0), ("uniform", 2, 1), ("uniform", 7, 12),
+    ("uniform", 9, 22), ("uniform", 15, 41), ("uniform", 17, 47),
+    ("uniform", 1023, 8932), ("uniform", 1025, 9629), ("uniform", 1000, 8722),
+    ("sorted", 1000, 5052), ("reverse", 1000, 4932), ("clustered", 1000, 8716),
+    ("duplicates", 1000, 8710)])
+def test_mergesort_compares_pinned(dist, n, compares):
+    # counts of the charge-per-compare loop, now charged once per merge
+    data = generate(dist, n, 3, 64)
+    c = OpCounters()
+    assert mergesort(data, c) == sorted(data)
+    assert c.key_compares == compares
+
+
 @pytest.mark.parametrize("algo", ALGOS)
 def test_run_verifies(algo):
     cfg = BenchConfig(algo=algo, n=500, seed=3, dist="uniform", width=64,
@@ -299,6 +313,31 @@ def test_cli_key_out_of_width(tmp_path, capsys, algo, text, line, key):
                    f"value {key} out of range for a 8-bit word\n")
 
 
+@pytest.mark.parametrize("text,line", [("1_000\n", 1), ("5\n+5\n", 2),
+                                       ("7\n 1_0 \n", 2), ("--3\n", 1),
+                                       ("-\n", 1), ("0x10\n", 1)])
+def test_cli_key_line_must_be_decimal(tmp_path, capsys, text, line):
+    # int() would read these; a key line is ASCII digits after an optional "-"
+    path = tmp_path / "keys.txt"
+    path.write_text(text)
+    err = _cli_fails(capsys, 2, "--in", str(path))
+    bad = text.splitlines()[line - 1].strip().encode()
+    assert err == f"bad key file {path}: line {line}: not a decimal key: {bad!r}\n"
+
+
+def test_cli_key_line_past_int_digit_limit(tmp_path, capsys):
+    path = tmp_path / "keys.txt"
+    path.write_text("0" * 5000 + "5\n")  # digits only, but int() refuses them
+    err = _cli_fails(capsys, 2, "--in", str(path))
+    assert err.startswith(f"bad key file {path}: line 1: ")
+
+
+def test_key_file_whitespace_and_blank_lines(tmp_path):
+    path = tmp_path / "keys.txt"
+    path.write_bytes(b" 12 \n\n\t7\r\n007\n\n")
+    assert read_keys(str(path), 8) == ([12, 7, 7], None)
+
+
 def test_cli_unwritable_dot(tmp_path, capsys):
     missing = tmp_path / "missing" / "x.dot"
     err = _cli_fails(capsys, 3, "--demo", "--dot", str(missing))
@@ -315,6 +354,12 @@ def test_cli_unwritable_out(tmp_path, capsys):
     missing = tmp_path / "missing" / "x"
     err = _cli_fails(capsys, 3, "--n", "50", "--out", str(missing))
     assert str(missing) in err
+
+
+def test_cli_unwritable_out_appends_no_csv_row(tmp_path, capsys):
+    csv, missing = tmp_path / "c.csv", tmp_path / "missing" / "x"
+    err = _cli_fails(capsys, 3, "--n", "5", "--csv", str(csv), "--out", str(missing))
+    assert str(missing) in err and not csv.exists()
 
 
 def test_cli_csv_with_in_file_is_refused(tmp_path, capsys):

@@ -60,7 +60,7 @@ def test_ab_pairs_same_tree():
     src = str(ROOT / "src")
     lines = _run_script("ab_pairs.py", src, src, "--algo", "fusion",
                         "--n", "500", "--pairs", "2")
-    assert lines[0] == "checked 60 rows (n <= 2000, seed 1): all identical"
+    assert lines[0] == "checked 80 rows (n <= 2000, seed 1): all identical"
     assert [line.split(":")[0] for line in lines[1:3]] == ["pair 1", "pair 2"]
     assert lines[3].endswith(", us/key median (quartiles):")
     assert lines[7] == "fresh-interpreter import fusionsort.bench, ms median (quartiles):"

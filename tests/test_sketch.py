@@ -1,9 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionsort import sketch
 from fusionsort.sketch import (
     EXACT,
     MULTIPLICATIVE,
@@ -15,7 +17,7 @@ from fusionsort.sketch import (
 from fusionsort.trie import CompressedTrie
 from fusionsort.wordops import word_mask
 
-from oracles import order_preserving, sketch_exact
+from oracles import find_multiplier_dfs, order_preserving, sketch_exact
 
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
 
@@ -231,3 +233,54 @@ def test_order_check_matches_oracle_and_rejects_corruption():
         assert _order_preserving(bits, 64, mult, shift, plen)
         rejected += sum(not _order_preserving(bits, 64, *c) for c in corrupt)
     assert found > 50 and rejected > 0
+
+
+def _outcome(search, bits, width, lcap):
+    try:
+        return search(bits, width, lcap)
+    except NoValidMultiplier:
+        return None
+
+
+def test_search_matches_reference_dfs():
+    # every small bit set at each cap from r to r*r, node-shaped 64-bit sets
+    # at the window caps 64 // t - 1 (t = 2..8), and a few of 8-12 bits
+    cases = [(bits, width, lcap)
+             for width, rmax in ((8, 8), (16, 4)) for r in range(1, rmax + 1)
+             for bits in combinations(range(width), r)
+             for lcap in range(r, min(r * r, width) + 1)]
+    rng = random.Random(14)
+    for _ in range(1500):
+        r = rng.randint(1, 7)
+        bits = tuple(sorted(rng.sample(range(64), r)))
+        cases += [(bits, 64, min(r * r, cap)) for cap in (31, 20, 15, 11, 9, 8, 7)]
+    for r in (8, 9, 10, 11, 12):
+        cases += [(tuple(sorted(rng.sample(range(64), r))), 64, 64) for _ in range(3)]
+    lean = sketch._find_multiplier_cached.__wrapped__  # no cache in between
+    found = 0
+    for bits, width, lcap in cases:
+        got = _outcome(lean, bits, width, lcap)
+        assert got == _outcome(find_multiplier_dfs, bits, width, lcap), (bits, width, lcap)
+        if got is not None:
+            found += 1
+            _, base, plen = got  # the top bit fixes the product offset
+            assert base == max(0, bits[-1] + 1 - plen) and base + plen <= width
+    assert found > len(cases) // 3 and found < len(cases)
+
+
+def _clear_sketch_caches():
+    sketch._scheme_cached.cache_clear()
+    sketch._find_multiplier_cached.cache_clear()
+
+
+def test_search_budget_exhaustion_refuses(monkeypatch):
+    bits = (0, 20, 40)  # spread past a 9-bit window: needs the run search
+    assert find_multiplier(bits, 64, 9) == (274878431233, 38, 3)
+    monkeypatch.setattr(sketch, "_SEARCH_BUDGET", 3)  # one step short
+    _clear_sketch_caches()
+    try:
+        with pytest.raises(NoValidMultiplier):
+            find_multiplier(bits, 64, 9)
+        assert scheme_from_bits(bits, 64, MULTIPLICATIVE, 9).fallback
+    finally:
+        _clear_sketch_caches()  # drop what the short budget answered
