@@ -175,20 +175,18 @@ def mergesort(values, counters: OpCounters | None = None) -> list[int]:
 
 def _run_once(cfg: BenchConfig, data: list[int]):
     """One timed sort; returns (output, word_ops, key_compares, height, splits)."""
+    if cfg.algo == "mergesort":
+        c = OpCounters()
+        return mergesort(data, c), 0, c.key_compares, 0, 0
+    if cfg.algo == "stdsort":
+        return sorted(data), 0, 0, 0, 0
     if cfg.algo == "fusion":
         out, tree = fusion_sort_with_stats(
             data, width=cfg.width, cap=cfg.cap, strategy=cfg.strategy)
-        c = tree.counters
-        return out, c.word_ops, c.key_compares, tree.height, tree.splits
-    if cfg.algo == "btree":
+    else:
         out, tree = btree_sort_with_stats(data, width=cfg.width, cap=cfg.cap)
-        c = tree.counters
-        return out, c.word_ops, c.key_compares, tree.height, tree.splits
-    if cfg.algo == "mergesort":
-        c = OpCounters()
-        out = mergesort(data, c)
-        return out, 0, c.key_compares, 0, 0
-    return sorted(data), 0, 0, 0, 0
+    c = tree.counters
+    return out, c.word_ops, c.key_compares, tree.height, tree.splits
 
 
 def run(config: BenchConfig) -> list[BenchRecord]:
@@ -196,10 +194,13 @@ def run(config: BenchConfig) -> list[BenchRecord]:
     return run_with_output(config)[0]
 
 
-def run_with_output(config: BenchConfig) -> tuple[list[BenchRecord], list[int]]:
-    """``run``, also returning the last trial's verified output."""
+def run_with_output(config: BenchConfig, data=None) -> tuple[list[BenchRecord], list[int]]:
+    """``run``, also returning the last trial's verified output; ``data``
+    (a key file's keys), if given, is sorted in place of generated keys."""
     cfg = config.validate()
-    data = generate(cfg.dist, cfg.n, cfg.seed, cfg.width)
+    source = f"seed={cfg.seed}, dist={cfg.dist}" if data is None else "given keys"
+    if data is None:
+        data = generate(cfg.dist, cfg.n, cfg.seed, cfg.width)
     expected = sorted(data)
     records = []
     for trial in range(cfg.trials):
@@ -209,7 +210,7 @@ def run_with_output(config: BenchConfig) -> tuple[list[BenchRecord], list[int]]:
         if out != expected:
             raise VerificationFailed(
                 f"{cfg.algo} output disagrees with the reference sort "
-                f"(n={cfg.n}, seed={cfg.seed}, dist={cfg.dist})")
+                f"(n={cfg.n}, {source})")
         records.append(BenchRecord(
             cfg.algo, cfg.n, cfg.seed, cfg.dist, cfg.width, cfg.cap, trial,
             dt, word_ops, key_compares, height, splits, verified=True))

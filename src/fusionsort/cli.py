@@ -25,7 +25,6 @@ from .bench import (
     GoldenMismatch,
     InvalidConfig,
     VerificationFailed,
-    _run_once,
     demo_walkthrough,
     read_keys,
     run_with_output,
@@ -90,23 +89,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _sort_file(given: dict, cfg: BenchConfig) -> int:
-    values, file_width = read_keys(given["in"], cfg.width)
-    if "width" in given and file_width not in (None, cfg.width):
-        raise BadKeyFile(f"it declares width {file_width}, not --width {cfg.width}")
-    cfg = cfg._replace(n=len(values), width=file_width or cfg.width)
-    out = _run_once(cfg, values)[0]
-    if out != sorted(values):
-        raise VerificationFailed("file sort disagrees with the reference sort")
-    if "out" in given:
-        write_keys(given["out"], out, cfg.width, binary="out_binary" in given)
-        print(f"sorted {len(out)} keys ({cfg.algo}, width {cfg.width}) -> {given['out']}")
-    else:
-        for v in out:
-            print(v)
-    return 0
-
-
 def main(argv=None) -> int:
     given = vars(_build_parser().parse_args(argv))
     try:
@@ -145,11 +127,22 @@ def _run(given: dict) -> int:
         raise InvalidConfig("--out-binary is used only with --out")
     cfg = BenchConfig(**{k: settings[k] for k in BenchConfig._fields})
     if mode == "file":
-        return _sort_file(given, cfg)
-
-    records, out = run_with_output(cfg)
+        values, file_width = read_keys(given["in"], cfg.width)
+        if "width" in given and file_width not in (None, cfg.width):
+            raise BadKeyFile(f"it declares width {file_width}, not --width {cfg.width}")
+        cfg = cfg._replace(n=len(values), width=file_width or cfg.width)
+        records, out = run_with_output(cfg, values)
+    else:
+        records, out = run_with_output(cfg)
     if "out" in given:  # first, so a failing --out appends no CSV row
         write_keys(given["out"], out, cfg.width, binary="out_binary" in given)
+    if mode == "file":
+        if "out" in given:
+            print(f"sorted {len(out)} keys ({cfg.algo}, width {cfg.width}) -> {given['out']}")
+        else:
+            for v in out:
+                print(v)
+        return 0
     if "csv" in given:
         write_csv(given["csv"], records)
 

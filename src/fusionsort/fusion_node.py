@@ -16,12 +16,13 @@ runs two passes straight through.  Pass 1 counts the sketches below
 sk(x) and picks the stored key sharing x's longest bit prefix; unless
 that key is x, x's bits below the fall-off point are forced to ones or
 zeros and pass 2 sketches and counts that word once, which gives the
-exact rank.  ``rank`` wraps it, and a caller that
-wants to see pass 1 passes a ``trace`` dict, which receives the sketch,
-the survivor word, the count, the selected key and the word ops charged
-so far (the ``--demo`` walkthrough and ``scripts/node_anatomy.py`` read
-it).  Sketches of arbitrary words, for inspection, come from the
-scheme's own evaluator, ``SketchScheme.sketch``.
+exact rank.  ``rank`` wraps it, and a caller that wants to see pass 1
+passes a ``trace`` dict, which receives the sketch, the survivor word,
+the count, the selected key and the word ops charged so far (the
+``--demo`` walkthrough and ``scripts/node_anatomy.py`` read it).
+``SketchScheme.sketch`` is the one per-bit (exact) evaluator, which exact
+nodes call; the multiplicative formula, run by nearly every visit, is
+inlined in ``_ensure`` and both passes, where a method call costs most.
 
 The packed word may be wider than the key word (t blocks of
 padded-length+1 bits each); it always fits the 64-bit machine word,
@@ -111,8 +112,8 @@ class FusionNode:
     # -- lazy materialization --------------------------------------------
 
     def _ensure(self) -> tuple:
-        """Build and store the node state: (multiplier, relevant bits,
-        mask, shift, sketch charge, node word, scheme) + ``_layout``."""
+        """Build and store the node state: (multiplier, mask, shift, sketch
+        charge, node word, scheme) + ``_layout``."""
         keys = self.keys
         t = len(keys)
         bits = 0  # one bit per branch position: msb(k_i ^ k_i+1)
@@ -125,28 +126,24 @@ class FusionNode:
         layout = _layout(scheme.padded_length, t)
         _, block, sep, lenmask, _, _, _ = layout
         mask, mult, shift = scheme.mask, scheme.multiplier, scheme.shift
-        sk_bits = scheme.relevant_bits
         word = 0
         if mult is not None:
             for k in keys:
                 word = (word << block) | sep | ((((k & mask) * mult) >> shift) & lenmask)
             sk_ops = 4  # and, mul, shr, and
         else:
-            for k in keys:
-                s = 0
-                for b in sk_bits:
-                    s = (s << 1) | ((k >> b) & 1)
-                word = (word << block) | sep | s
-            sk_ops = 4 * len(sk_bits)  # shl, or, shr, and per bit
-        self._state = st = (mult, sk_bits, mask, shift, sk_ops, word, scheme) + layout
+            for sk in map(scheme.sketch, keys):
+                word = (word << block) | sep | sk
+            sk_ops = 4 * len(scheme.relevant_bits)  # shl, or, shr, and per bit
+        self._state = st = (mult, mask, shift, sk_ops, word, scheme) + layout
         return st
 
     def _invalidate(self) -> None:
         self._state = None
 
     # read-only views of the state
-    node_word, scheme, block_size = map(_view, (5, 6, 8))
-    _unit, _top_mask = map(_view, (11, 12))
+    node_word, scheme, block_size = map(_view, (4, 5, 7))
+    _unit, _top_mask = map(_view, (10, 11))
 
     # -- the packed rank ---------------------------------------------------
 
@@ -196,7 +193,7 @@ class FusionNode:
                 return 1, k == x
             ops.key_compares += 1
             return 0, False
-        (mult, sk_bits, sk_mask, sk_shift, sk_ops, node_word, _, _, block, _,
+        (mult, sk_mask, sk_shift, sk_ops, node_word, scheme, _, block, _,
          lenmask, unit, top_mask, word_bits) = st
         # pass 1: sketch x, then replicate, subtract, mask and zero test
         # (4 ops); floor-lg, bit offset and block divide (3 more) if any
@@ -204,9 +201,7 @@ class FusionNode:
         if mult is not None:
             q = (((x & sk_mask) * mult) >> sk_shift) & lenmask
         else:
-            q = 0
-            for b in sk_bits:
-                q = (q << 1) | ((x >> b) & 1)
+            q = scheme.sketch(x)
         survivors = (node_word - q * unit) & top_mask
         if survivors:
             c = (word_bits - survivors.bit_length()) // block
@@ -245,9 +240,7 @@ class FusionNode:
         if mult is not None:
             q = (((y & sk_mask) * mult) >> sk_shift) & lenmask
         else:
-            q = 0
-            for b in sk_bits:
-                q = (q << 1) | ((y >> b) & 1)
+            q = scheme.sketch(y)
         if up:
             if q == lenmask:  # no block sketch exceeds an all-ones window
                 ops.word_ops += w + 8 + sk_ops + 1
@@ -289,7 +282,7 @@ class FusionNode:
         lines = [
             f"{t} key(s), key width {self.width}, sketch strategy {sch.strategy}"
             + (" (fallback from multiplicative)" if sch.fallback else ""),
-            "relevant bits: " + (" ".join(f"b{b}" for b in sch.relevant_bits) or "(none)"),
+            "relevant bits: " + (" ".join(f"b{p}" for p in sch.relevant_bits) or "(none)"),
         ]
         if sch.strategy == MULTIPLICATIVE:
             lines.append(

@@ -56,8 +56,9 @@ class SketchScheme(namedtuple(
 
     def sketch(self, x: int) -> int:
         """The sketch of word x: its relevant bits packed contiguously,
-        most significant first (exact), or relocated into the padded
-        window by one masked multiplication (multiplicative)."""
+        most significant first (exact: the package's one per-bit
+        extraction, which exact nodes call), or moved into the padded
+        window by one masked multiplication (multiplicative; nodes inline it)."""
         if self.strategy == MULTIPLICATIVE:
             prod = (x & self.mask) * self.multiplier
             return (prod >> self.shift) & ((1 << self.padded_length) - 1)

@@ -263,9 +263,6 @@ def locate(node, x: int, ops, trace: dict | None = None):
     """Reference for ``FusionNode.locate``: the same two passes as one
     loop, sketch and count written once and charged by running sums.
     Must agree with it on the answer, both charges and every trace field."""
-    st = node._state
-    if st is None:
-        st = node._ensure()
     keys = node.keys
     t = len(keys)
     if t == 1:  # zero-length sketches always tie: one key compare
@@ -277,8 +274,13 @@ def locate(node, x: int, ops, trace: dict | None = None):
             return 1, k == x
         ops.key_compares += 1
         return 0, False
-    (mult, sk_bits, sk_mask, sk_shift, sk_ops, node_word, _, _, block, _,
-     lenmask, unit, top_mask, word_bits) = st
+    # public views and the scheme only: fusion_node.py alone knows the state
+    scheme, node_word, block = node.scheme, node.node_word, node.block_size
+    unit, top_mask, word_bits = node._unit, node._top_mask, block * t
+    mult, sk_bits = scheme.multiplier, scheme.relevant_bits
+    sk_mask, sk_shift = scheme.mask, scheme.shift
+    lenmask = (1 << scheme.padded_length) - 1
+    sk_ops = 4 if mult is not None else 4 * len(sk_bits)  # per-visit sketch charge
     y = x
     up = None  # pass 1; pass 2 sets it to x's bit at the fall-off point
     w = kc = 0

@@ -60,6 +60,8 @@ def test_generate_bounds_and_errors():
         generate("bogus", 10, 1, 8)
     with pytest.raises(InvalidConfig):
         generate("uniform", -1, 1, 8)
+    with pytest.raises(InvalidConfig, match="unsupported width"):
+        generate("uniform", 10, 1, 24)
 
 
 def test_generate_duplicates_universe():
@@ -194,6 +196,10 @@ def test_config_validation():
         BenchConfig(algo="fusion", n=10, cap=2).validate()
     with pytest.raises(InvalidConfig):
         BenchConfig(algo="fusion", n=10, trials=0).validate()
+    with pytest.raises(InvalidConfig, match="n must be nonnegative"):
+        BenchConfig(algo="fusion", n=-1).validate()
+    with pytest.raises(InvalidConfig, match="strategy must be one of"):
+        BenchConfig(algo="fusion", n=10, strategy="approx").validate()
 
 
 def test_csv_schema(tmp_path):
@@ -211,7 +217,7 @@ def test_csv_schema(tmp_path):
     assert len(lines) == 3
 
 
-def test_demo_walkthrough_values(tmp_path):
+def test_demo_walkthrough_values(tmp_path, monkeypatch, capsys):
     dot = tmp_path / "trie.dot"
     text = demo_walkthrough(dot_path=str(dot))
     for needle in ("48350", "21845", "26505", "136", "b7", "011", "100", "101", "110"):
@@ -220,6 +226,11 @@ def test_demo_walkthrough_values(tmp_path):
     dot_text = dot.read_text()
     assert dot_text.startswith("digraph")
     assert 'label="b5"' in dot_text and 'label="11011111"' in dot_text
+    # a deviating constant: one stderr line naming it, exit 2, no trace
+    monkeypatch.setattr(bench, "_DEMO_NODE_WORD", 48351)
+    err = _cli_fails(capsys, 2, "--demo")
+    assert err.startswith("worked example DEVIATED: ") and "48351" in err
+    assert capsys.readouterr().out == ""
 
 
 def test_key_file_roundtrip(tmp_path):
@@ -232,6 +243,8 @@ def test_key_file_roundtrip(tmp_path):
     write_keys(str(bpath), vals, 16, binary=True)
     got, width = read_keys(str(bpath))
     assert got == vals and width == 16
+    with pytest.raises(InvalidConfig, match="unsupported width"):
+        write_keys(str(tmp_path / "k24.bin"), vals, 24, binary=True)
 
 
 def _run_cli(*args):
@@ -414,11 +427,12 @@ def test_cli_in_refuses_generation_flags(tmp_path, capsys, flag, value):
 
 
 def test_cli_in_cap_reaches_only_the_trees(tmp_path, capsys):
-    # a file sort is not validated as a whole: only a tree checks --cap
+    # a file sort is validated as a generated run is: --cap for every algo
     inp = tmp_path / "k.txt"
     inp.write_text("9\n3\n")
-    assert cli_main(["--in", str(inp), "--algo", "stdsort", "--cap", "20"]) == 0
-    assert capsys.readouterr().out.split() == ["3", "9"]
+    err = _cli_fails(capsys, 2, "--in", str(inp), "--algo", "stdsort", "--cap", "20")
+    assert err == "invalid configuration: cap must be in [3, 8], got 20\n"
+    assert capsys.readouterr().out == ""
     err = _cli_fails(capsys, 2, "--in", str(inp), "--algo", "fusion", "--cap", "20")
     assert err.startswith("invalid configuration: ")
 
@@ -453,11 +467,9 @@ def test_cli_strategy_only_with_fusion(tmp_path, capsys, algo):
 
 def test_cli_fusion_strategy_default_and_choice(tmp_path, monkeypatch):
     seen = []
-    real_run, real_once = cli.run_with_output, cli._run_once
-    monkeypatch.setattr(cli, "run_with_output",
-                        lambda cfg: seen.append(cfg.strategy) or real_run(cfg))
-    monkeypatch.setattr(cli, "_run_once",
-                        lambda cfg, data: seen.append(cfg.strategy) or real_once(cfg, data))
+    real_run = cli.run_with_output
+    monkeypatch.setattr(cli, "run_with_output", lambda cfg, data=None:
+                        seen.append(cfg.strategy) or real_run(cfg, data))
     inp = tmp_path / "k.txt"
     inp.write_text("9\n3\n")
     assert cli_main(["--n", "50"]) == 0
@@ -504,6 +516,18 @@ def test_cli_out_not_written_when_unverified(tmp_path, monkeypatch, capsys):
                      "--out", str(path))
     assert err.startswith("verification FAILED")
     assert not path.exists()
+
+
+def test_cli_in_out_not_written_when_unverified(tmp_path, monkeypatch, capsys):
+    # a file sort is verified as a generated run is, and names no seed
+    wrong = lambda data, **kw: ([0] * len(data), BTree(width=16))
+    monkeypatch.setattr(bench, "btree_sort_with_stats", wrong)
+    inp, path = tmp_path / "k.txt", tmp_path / "out.txt"
+    inp.write_text("9\n3\n")
+    err = _cli_fails(capsys, 1, "--in", str(inp), "--algo", "btree", "--out", str(path))
+    assert err.startswith("verification FAILED") and "seed" not in err
+    assert not path.exists()
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_help_lists_exit_codes(capsys):

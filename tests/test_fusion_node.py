@@ -84,6 +84,10 @@ def test_build_errors():
         FusionNode([], width=64)
     with pytest.raises(CapacityExceeded):
         FusionNode([1], width=64, cap=9)
+    with pytest.raises(NodeError, match="unsupported width"):
+        FusionNode([1], width=24)
+    with pytest.raises(NodeError, match="unknown sketch strategy"):
+        FusionNode([1], width=64, strategy="approx")
 
 
 def test_query_word_golden():

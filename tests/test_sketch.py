@@ -10,6 +10,7 @@ from fusionsort.sketch import (
     EXACT,
     MULTIPLICATIVE,
     NoValidMultiplier,
+    SketchError,
     _order_preserving,
     find_multiplier,
     scheme_from_bits,
@@ -116,8 +117,19 @@ def test_find_multiplier_refuses_unverifiable_bit_counts():
     # 17 contiguous bits would pass the single-shift case unchecked
     with pytest.raises(NoValidMultiplier):
         find_multiplier(range(17), 64)
+    with pytest.raises(SketchError, match="at least one relevant bit"):
+        find_multiplier([], 64)
     s = scheme_from_bits(range(0, 63, 3), 64, MULTIPLICATIVE)
     assert s.strategy == EXACT and s.fallback
+
+
+def test_bits_out_of_range_and_unknown_strategy_refused():
+    with pytest.raises(SketchError, match="outside"):
+        find_multiplier([3, 16], 16)
+    with pytest.raises(SketchError, match="outside"):
+        scheme_from_bits([-1, 2], 16)
+    with pytest.raises(SketchError, match="unknown strategy"):
+        scheme_from_bits([2], 16, "approx")
 
 
 def test_scheme_fallback_flag():
