@@ -18,11 +18,18 @@ it times ``--pairs`` alternating pairs of one sort (the B-tree, or the
 fusion tree with its default multiplicative sketch, at cap 7 as
 perfbench runs them) from cold sketch caches and prints each side's
 median and quartiles in µs per key, and how many pairs the change won.
-Last it times ``--pairs`` alternating pairs of a fresh-interpreter
-``import fusionsort.bench`` from each ``src/`` and prints the same
-summary in ms.
+``--algo mix`` times the read path instead: each side builds a fusion
+tree over the same ``--n`` keys, and every pair serves one seeded chunk
+of 1000 operations on both warm trees (90 % reads spread over
+``search``, ``rank``, ``predecessor`` and ``successor``, half of them
+on stored keys, and 10 % fresh inserts); both sides must give the same
+answers and charges after every chunk, and the summary is in µs per
+operation.  Last it times ``--pairs`` alternating pairs of a
+fresh-interpreter ``import fusionsort.bench`` from each ``src/`` and
+prints the same summary in ms.
 
     python3 scripts/ab_pairs.py BASE/src src --algo btree --n 100000 --pairs 10
+    python3 scripts/ab_pairs.py BASE/src src --algo mix --n 100000 --pairs 300
 """
 
 import argparse
@@ -41,6 +48,8 @@ SHAPES = ((64, CAP), (8, CAP), (32, 5), (16, 4))  # (width, cap) of the check ro
 CHECK_N = 2000  # keys per check row, fewer where the width holds fewer
 READS = ("search", "rank", "predecessor", "successor")
 READ_PROBES = 200  # probes per check row, about
+MIX_CHUNK = 1000  # operations per timed chunk of --algo mix
+MIX_INSERTS = 0.1  # share of fresh inserts in the mix
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import fusionsort.bench; "
                 "print(time.perf_counter() - t)")
 
@@ -97,6 +106,36 @@ def reads(tree, xs) -> list:
             w, k = c.word_ops, c.key_compares
             out.append((op, x, read(x), c.word_ops - w, c.key_compares - k))
     return out
+
+
+def mix_ops(rng, present: list, known: set, width: int) -> list:
+    """One seeded chunk of (op, key) pairs: fresh inserts at MIX_INSERTS,
+    the rest reads spread evenly over READS, half of them on a stored key.
+    This is perfbench's query_mix op mix, restated so that the script
+    loads no third ``fusionsort`` (perfbench's modules import one)."""
+    ops = []
+    for _ in range(MIX_CHUNK):
+        if rng.random() < MIX_INSERTS:
+            k = rng.getrandbits(width)
+            while k in known:
+                k = rng.getrandbits(width)
+            known.add(k)
+            present.append(k)
+            ops.append(("insert", k))
+        else:
+            op = READS[rng.randrange(len(READS))]
+            if rng.random() < 0.5:
+                k = present[rng.randrange(len(present))]  # a stored key
+            else:
+                k = rng.getrandbits(width)
+            ops.append((op, k))
+    return ops
+
+
+def serve(tree, ops) -> list:
+    """The answers of ``ops``, served closed-loop on ``tree`` in order."""
+    call = {op: getattr(tree, op) for op in READS + ("insert",)}
+    return [call[op](k) for op, k in ops]
 
 
 def cold(pkg) -> None:
@@ -171,22 +210,9 @@ def summary(what: str, unit: str, xs: dict, pairs: int) -> None:
     print(f"  ratio {ratio:.3f}, change won {wins} of {pairs} pairs")
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("base", help="the src/ directory of the base version")
-    ap.add_argument("change", help="the src/ directory of the changed version")
-    ap.add_argument("--algo", default="btree", choices=("btree", "fusion"))
-    ap.add_argument("--n", type=int, default=100_000, help="keys per timed sort")
-    ap.add_argument("--dist", default="uniform")
-    ap.add_argument("--width", type=int, default=64)
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--pairs", type=int, default=10)
-    args = ap.parse_args()
-
-    base, change = load(args.base, "ab_base"), load(args.change, "ab_change")
-    if check(base, change, args.seed):
-        return 1
-
+def sort_pairs(base, change, args):
+    """Alternating timed sorts from cold sketch caches: (label, unit,
+    {side: µs per key}), or None if a side's output is wrong."""
     data = base.bench.generate(args.dist, args.n, args.seed, args.width)
     expected = sorted(data)
     us = {"base": [], "change": []}
@@ -200,12 +226,74 @@ def main() -> int:
             dt = time.perf_counter_ns() - t0
             if out != expected:
                 print(f"{side} output disagrees with the reference sort")
-                return 1
+                return None
             us[side].append(dt / 1e3 / max(1, args.n))
         print(f"pair {p + 1}: base {us['base'][-1]:.3f}, "
               f"change {us['change'][-1]:.3f} us/key")
-    summary(f"{args.algo} {args.dist} n={args.n} width={args.width} cap={CAP}",
-            "us/key", us, args.pairs)
+    return (f"{args.algo} {args.dist} n={args.n} width={args.width} cap={CAP}",
+            "us/key", us)
+
+
+def mix_pairs(base, change, args):
+    """Alternating timed chunks of one read/insert mix on warm fusion
+    trees: (label, unit, {side: µs per op}), or None if the sides'
+    answers or charges differ after a chunk."""
+    data = base.bench.generate(args.dist, args.n, args.seed, args.width)
+    trees = {}
+    for side, pkg in (("base", base), ("change", change)):
+        cold(pkg)
+        trees[side] = sort(pkg, "fusion", data, args.width)[2]
+    gc.collect()
+    gc.freeze()  # the trees are long-lived: keep them out of collections
+    present = trees["base"].in_order()
+    known = set(present)
+    rng = random.Random(f"mix:{args.seed}")
+    us = {"base": [], "change": []}
+    for p in range(args.pairs):
+        ops = mix_ops(rng, present, known, args.width)
+        got = {}
+        for side in (("base", "change") if p % 2 == 0 else ("change", "base")):
+            tree = trees[side]
+            gc.collect()
+            t0 = time.perf_counter_ns()
+            answers = serve(tree, ops)
+            dt = time.perf_counter_ns() - t0
+            got[side] = answers, tree.counters.snapshot()
+            us[side].append(dt / 1e3 / len(ops))
+        (a, charged_a), (b, charged_b) = got["base"], got["change"]
+        if (a, charged_a) != (b, charged_b):
+            print(f"MISMATCH mix chunk {p + 1}: answers "
+                  f"{'equal' if a == b else 'differ'}, charges (word_ops, "
+                  f"key_compares) base {charged_a}, change {charged_b}")
+            return None
+        print(f"pair {p + 1}: base {us['base'][-1]:.3f}, "
+              f"change {us['change'][-1]:.3f} us/op")
+    return (f"mix {args.dist} n={args.n} width={args.width} cap={CAP}, "
+            f"{MIX_CHUNK}-op chunks", "us/op", us)
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("base", help="the src/ directory of the base version")
+    ap.add_argument("change", help="the src/ directory of the changed version")
+    ap.add_argument("--algo", default="btree", choices=("btree", "fusion", "mix"),
+                    help="the sort to time, or mix: reads and inserts on warm trees")
+    ap.add_argument("--n", type=int, default=100_000,
+                    help="keys per timed sort, or per tree for mix")
+    ap.add_argument("--dist", default="uniform")
+    ap.add_argument("--width", type=int, default=64)
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--pairs", type=int, default=10)
+    args = ap.parse_args()
+
+    base, change = load(args.base, "ab_base"), load(args.change, "ab_change")
+    if check(base, change, args.seed):
+        return 1
+
+    timed = (mix_pairs if args.algo == "mix" else sort_pairs)(base, change, args)
+    if timed is None:
+        return 1
+    summary(*timed, args.pairs)
 
     ms = {"base": [], "change": []}
     srcs = (("base", args.base), ("change", args.change))

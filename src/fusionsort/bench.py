@@ -142,8 +142,6 @@ def mergesort(values, counters: OpCounters | None = None) -> list[int]:
     """Bottom-up stable merge sort, one charged comparison per element pair."""
     src = list(values)
     n = len(src)
-    if n < 2:
-        return src
     dst = [0] * n
     run = 1
     while run < n:
@@ -151,14 +149,23 @@ def mergesort(values, counters: OpCounters | None = None) -> list[int]:
             mid = min(lo + run, n)
             hi = min(lo + 2 * run, n)
             i, j, k = lo, mid, lo
-            while i < mid and j < hi:
-                if src[j] < src[i]:
-                    dst[k] = src[j]
-                    j += 1
-                else:
-                    dst[k] = src[i]
-                    i += 1
-                k += 1
+            if j < hi:  # else a lone run, copied below
+                a, b = src[i], src[j]  # each run's head, reread when it advances
+                while True:
+                    if b < a:
+                        dst[k] = b
+                        k += 1
+                        j += 1
+                        if j == hi:
+                            break
+                        b = src[j]
+                    else:
+                        dst[k] = a
+                        k += 1
+                        i += 1
+                        if i == mid:
+                            break
+                        a = src[i]
             if counters is not None:  # the loop compared once per element it placed
                 counters.key_compares += k - lo
             if i < mid:
@@ -250,9 +257,7 @@ def demo_walkthrough(dot_path: str | None = None) -> str:
     """
     node = FusionNode(list(_DEMO_KEYS), width=16, cap=7, strategy=EXACT)
     x = _DEMO_QUERY
-    lines = ["packed-comparison walkthrough", ""]
-    lines.append(node.dump())
-    lines.append("")
+    lines = ["packed-comparison walkthrough", "", node.dump(), ""]
 
     trace: dict = {}
     node.locate(x, OpCounters(), trace)
@@ -340,7 +345,8 @@ def read_keys(path: str, width: int = 64) -> tuple[list[int], int | None]:
         vals = []
         for lineno, line in enumerate(fh, 1):
             text = line.strip()
-            if text.removeprefix(b"-").isdigit():  # int() also takes 1_000, +5
+            # no 1_000, +5 or -0, which int() takes; -3 fails check_word's range
+            if text.isdigit() or text.removeprefix(b"-").lstrip(b"0").isdigit():
                 try:
                     vals.append(check_word(int(text), width))
                 except ValueError as exc:  # out of width, or past int()'s digit cap

@@ -59,14 +59,14 @@ class CapacityExceeded(NodeError):
 
 @lru_cache(maxsize=None)
 def _layout(plen: int, t: int) -> tuple:
-    """Packing arithmetic for t blocks of plen payload bits: (plen, block,
-    separator bit, payload mask, bit 0 of each block, separator of each
-    block, word bits).  It depends on nothing else and holds no search
-    result, so clearing the sketch caches leaves it nothing to keep."""
+    """Packing arithmetic for t blocks of plen payload bits: (t, block,
+    payload mask, bit 0 of each block, separator of each block, word
+    bits).  It depends on nothing else and holds no search result, so
+    clearing the sketch caches leaves it nothing to keep."""
     block = plen + 1
     word_bits = t * block
     unit = ((1 << word_bits) - 1) // ((1 << block) - 1)
-    return plen, block, 1 << plen, (1 << plen) - 1, unit, unit << plen, word_bits
+    return t, block, (1 << plen) - 1, unit, unit << plen, word_bits
 
 
 def _view(i: int) -> property:
@@ -113,7 +113,7 @@ class FusionNode:
 
     def _ensure(self) -> tuple:
         """Build and store the node state: (multiplier, mask, shift, sketch
-        charge, node word, scheme) + ``_layout``."""
+        charge, node word, scheme) + ``_layout``; one OR sets the separators."""
         keys = self.keys
         t = len(keys)
         bits = 0  # one bit per branch position: msb(k_i ^ k_i+1)
@@ -124,26 +124,25 @@ class FusionNode:
         scheme = _scheme_cached(bits, self.width, self.strategy,
                                 MACHINE_WIDTH // t - 1)  # payload bits per block
         layout = _layout(scheme.padded_length, t)
-        _, block, sep, lenmask, _, _, _ = layout
+        _, block, lenmask, _, top_mask, _ = layout
         mask, mult, shift = scheme.mask, scheme.multiplier, scheme.shift
         word = 0
         if mult is not None:
             for k in keys:
-                word = (word << block) | sep | ((((k & mask) * mult) >> shift) & lenmask)
+                word = (word << block) | ((((k & mask) * mult) >> shift) & lenmask)
             sk_ops = 4  # and, mul, shr, and
         else:
             for sk in map(scheme.sketch, keys):
-                word = (word << block) | sep | sk
+                word = (word << block) | sk
             sk_ops = 4 * len(scheme.relevant_bits)  # shl, or, shr, and per bit
-        self._state = st = (mult, mask, shift, sk_ops, word, scheme) + layout
+        self._state = st = (mult, mask, shift, sk_ops, word | top_mask, scheme) + layout
         return st
 
     def _invalidate(self) -> None:
         self._state = None
 
     # read-only views of the state
-    node_word, scheme, block_size = map(_view, (4, 5, 7))
-    _unit, _top_mask = map(_view, (10, 11))
+    node_word, scheme, block_size, _unit, _top_mask = map(_view, (4, 5, 7, 9, 10))
 
     # -- the packed rank ---------------------------------------------------
 
@@ -179,11 +178,9 @@ class FusionNode:
         ``selected`` (the longest-prefix key) and ``word_ops`` (the
         sketch-and-count charge).
         """
-        st = self._state
-        if st is None:
-            st = self._ensure()
+        (mult, sk_mask, sk_shift, sk_ops, node_word, scheme, t, block,
+         lenmask, unit, top_mask, word_bits) = self._state or self._ensure()
         keys = self.keys
-        t = len(keys)
         if t == 1:  # zero-length sketches always tie: one key compare
             k = keys[0]
             if trace is not None:
@@ -193,8 +190,6 @@ class FusionNode:
                 return 1, k == x
             ops.key_compares += 1
             return 0, False
-        (mult, sk_mask, sk_shift, sk_ops, node_word, scheme, _, block, _,
-         lenmask, unit, top_mask, word_bits) = st
         # pass 1: sketch x, then replicate, subtract, mask and zero test
         # (4 ops); floor-lg, bit offset and block divide (3 more) if any
         # separator survives

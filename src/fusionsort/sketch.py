@@ -22,8 +22,6 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .wordops import word_mask
-
 EXACT = "exact"
 MULTIPLICATIVE = "multiplicative"
 STRATEGIES = (EXACT, MULTIPLICATIVE)
@@ -126,7 +124,8 @@ def find_multiplier(
     at strictly increasing positions of a window of at most r*r bits
     (tighter if max_padded_length says so); every other term of the
     product is placed where it cannot disturb the window, so no carries
-    reach it.  Raises NoValidMultiplier when the bounded search fails.
+    reach it.  Raises NoValidMultiplier when the bounded search fails;
+    the search, or its failure, is memoized per (gaps, window cap).
     """
     bits = tuple(sorted(set(relevant_bits)))
     if not bits:
@@ -137,60 +136,59 @@ def find_multiplier(
     r = len(bits)
     if r > 16:  # _order_preserving tries all 2**r patterns; nodes have <= 7 bits
         raise NoValidMultiplier(f"{r} relevant bits are too many to verify")
-    lcap = r * r
-    if max_padded_length is not None:
-        lcap = min(lcap, max_padded_length)
-    lcap = min(lcap, width)
-    return _find_multiplier_cached(bits, width, lcap)
+    lcap = r * r if max_padded_length is None else min(r * r, max_padded_length)
+    low = bits[0]
+    found = _find_multiplier_cached(tuple(b - low for b in bits), lcap)
+    if found is None:
+        raise NoValidMultiplier(f"no constant found for bits {bits} within window {lcap}")
+    return found[0], found[1] + low, found[2]  # the shift moves with the bits
 
 
 @lru_cache(maxsize=65536)
-def _find_multiplier_cached(bits: tuple[int, ...], width: int, lcap: int):
-    """Depth-first search: split the ascending bits into consecutive runs,
-    one shift sigma per run, so each run's image mirrors its spacing in
-    the window [0, lcap), lcap <= width (``find_multiplier`` clamps it).
-    A run is placed only if no bit b outside it has b + sigma in the
-    window, or below it where another run already put a product term (a
-    carry could ripple up).  So the last run, holding the top bit at
-    offset next_off - 1, has the smallest shift: an earlier run whose
-    first bit b_i sits at offset o >= 0 (so -sigma <= b_i) with a smaller
-    shift would put the top bit at next_off - 1 - (sigma_last - sigma) <
-    lcap, hence top + sigma < 0 and top < b_i, which is impossible.  The
+def _find_multiplier_cached(gaps: tuple[int, ...], lcap: int):
+    """(multiplier, shift, padded_length) for ascending bits with gaps[0]
+    == 0 under window cap lcap, or None.  The search reads only the bits'
+    differences and its window ends at the top bit, so one entry serves
+    every shifted copy at any width, verified with the span as the word.
+
+    Unless one shared shift fits the bits in the window [0, lcap), a
+    depth-first search splits them into consecutive runs, one shift
+    sigma per run, so each run's image mirrors its spacing there.  A run
+    is placed only if no bit b outside it has b + sigma in the window,
+    or below it where another run already put a product term (a carry
+    could ripple up).  So the last run, holding the top bit at offset
+    next_off - 1, has the smallest shift: an earlier run whose first bit
+    b_i sits at offset o >= 0 (so -sigma <= b_i) with a smaller shift
+    would put the top bit at next_off - 1 - (sigma_last - sigma) < lcap,
+    hence top + sigma < 0 and top < b_i, which is impossible.  The
     product offset is then base = top + 1 - next_off (>= 1, as the bits
     span more than lcap), every base + sigma >= 0, and the window ends
-    at the top bit, inside the word.  A repeated shift would have put
-    its run's first bit in the window, so the multiplier is a sum of
-    distinct powers.  Only the final verification reads ``width``."""
-    r = len(bits)
+    at the top bit.  A repeated shift would have put its run's first bit
+    in the window, so the multiplier is a sum of distinct powers."""
+    r = len(gaps)
     if lcap < r:
-        raise NoValidMultiplier(f"window cap {lcap} below bit count {r}")
-
-    span = bits[-1] - bits[0] + 1
-    if span <= lcap:
-        # One shared shift: the bits are already close enough together.
-        result = (1, bits[0], span)
-        if _order_preserving(bits, width, *result):
-            return result
-        raise NoValidMultiplier("degenerate single-shift scheme failed verification")
-
+        return None
+    span = gaps[-1] + 1
+    if span <= lcap:  # one shared shift; return before place, a cycle only gc frees
+        return (1, 0, span) if _order_preserving(gaps, span, 1, 0, span) else None
     budget = [_SEARCH_BUDGET]
     sigmas: list[int] = []
     negatives: set[int] = set()
 
     def place(i: int, next_off: int):
         if i == r:
-            base = bits[-1] + 1 - next_off
+            base = span - next_off
             return (sum(1 << (base + sg) for sg in sigmas), base, next_off)
         for j in range(r - 1, i - 1, -1):  # longest run first
-            gspan = bits[j] - bits[i] + 1
+            gspan = gaps[j] - gaps[i] + 1
             last = lcap - gspan if i else min(0, lcap - gspan)  # run 0 at offset 0
             for o in range(next_off, last + 1):
                 budget[0] -= 1
                 if budget[0] <= 0:
                     return None
-                sigma = o - bits[i]
+                sigma = o - gaps[i]
                 fresh: list[int] = []
-                for b in bits[:i] + bits[j + 1:]:
+                for b in gaps[:i] + gaps[j + 1:]:
                     p = b + sigma
                     if 0 <= p < lcap or p in negatives:
                         break  # a stray in the window or a collision below it
@@ -207,9 +205,7 @@ def _find_multiplier_cached(bits: tuple[int, ...], width: int, lcap: int):
         return None
 
     result = place(0, 0)
-    if result is not None and _order_preserving(bits, width, *result):
-        return result
-    raise NoValidMultiplier(f"no constant found for bits {bits} within window {lcap}")
+    return result if result and _order_preserving(gaps, span, *result) else None
 
 
 def _order_preserving(bits_asc, width, mult, shift, plen) -> bool:
@@ -220,7 +216,7 @@ def _order_preserving(bits_asc, width, mult, shift, plen) -> bool:
     for b in bits_asc:
         bit = 1 << b
         ys += [y | bit for y in ys]
-    wm = word_mask(width)
+    wm = (1 << width) - 1
     lenm = (1 << plen) - 1
     imgs = [(((y * mult) & wm) >> shift) & lenm for y in ys]
     return all(a < b for a, b in zip(imgs, imgs[1:]))

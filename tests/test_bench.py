@@ -328,9 +328,10 @@ def test_cli_key_out_of_width(tmp_path, capsys, algo, text, line, key):
 
 @pytest.mark.parametrize("text,line", [("1_000\n", 1), ("5\n+5\n", 2),
                                        ("7\n 1_0 \n", 2), ("--3\n", 1),
-                                       ("-\n", 1), ("0x10\n", 1)])
+                                       ("-\n", 1), ("0x10\n", 1), ("-0\n", 1)])
 def test_cli_key_line_must_be_decimal(tmp_path, capsys, text, line):
-    # int() would read these; a key line is ASCII digits after an optional "-"
+    # int() would read these; a key line is ASCII digits only (a negative
+    # value such as -3 is refused as out of range, but -0 is no key at all)
     path = tmp_path / "keys.txt"
     path.write_text(text)
     err = _cli_fails(capsys, 2, "--in", str(path))

@@ -70,3 +70,16 @@ def test_ab_pairs_same_tree():
         assert block[3].startswith("  ratio ") and block[3].endswith(" of 2 pairs")
         for line in block[1:3]:  # "median (q1-q3)"
             assert float(line.split()[1]) > 0
+
+
+def test_ab_pairs_mix_same_tree():
+    src = str(ROOT / "src")
+    lines = _run_script("ab_pairs.py", src, src, "--algo", "mix",
+                        "--n", "300", "--pairs", "2")
+    assert lines[0] == "checked 80 rows (n <= 2000, seed 1): all identical"
+    assert [line.split(":")[0] for line in lines[1:3]] == ["pair 1", "pair 2"]
+    assert all(line.endswith(" us/op") for line in lines[1:3])
+    assert lines[3] == ("mix uniform n=300 width=64 cap=7, 1000-op chunks, "
+                        "us/op median (quartiles):")
+    assert lines[6].startswith("  ratio ") and lines[6].endswith(" of 2 pairs")
+    assert len(lines) == 11

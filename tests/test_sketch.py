@@ -255,12 +255,14 @@ def _outcome(search, bits, width, lcap):
 
 
 def test_search_matches_reference_dfs():
-    # every small bit set at each cap from r to r*r, node-shaped 64-bit sets
-    # at the window caps 64 // t - 1 (t = 2..8), and a few of 8-12 bits
+    # every small bit set at each cap from r to r*r (above the width too,
+    # where the reference reads the cap clamped to the width), node-shaped
+    # 64-bit sets at the window caps 64 // t - 1 (t = 2..8), and a few of
+    # 8-12 bits; the search runs on the gaps, the reference on the bits
     cases = [(bits, width, lcap)
              for width, rmax in ((8, 8), (16, 4)) for r in range(1, rmax + 1)
              for bits in combinations(range(width), r)
-             for lcap in range(r, min(r * r, width) + 1)]
+             for lcap in range(r, r * r + 1)]
     rng = random.Random(14)
     for _ in range(1500):
         r = rng.randint(1, 7)
@@ -271,13 +273,36 @@ def test_search_matches_reference_dfs():
     lean = sketch._find_multiplier_cached.__wrapped__  # no cache in between
     found = 0
     for bits, width, lcap in cases:
-        got = _outcome(lean, bits, width, lcap)
-        assert got == _outcome(find_multiplier_dfs, bits, width, lcap), (bits, width, lcap)
+        low = bits[0]
+        got = lean(tuple(b - low for b in bits), lcap)
+        if got is not None:
+            got = (got[0], got[1] + low, got[2])
+        want = _outcome(find_multiplier_dfs, bits, width, min(lcap, width))
+        assert got == want, (bits, width, lcap)
         if got is not None:
             found += 1
             _, base, plen = got  # the top bit fixes the product offset
             assert base == max(0, bits[-1] + 1 - plen) and base + plen <= width
     assert found > len(cases) // 3 and found < len(cases)
+
+
+def test_search_is_keyed_by_gaps():
+    # a shifted copy of a bit set is a memo hit with the shift moved along,
+    # and so is a shifted copy of a pattern whose search failed
+    _clear_sketch_caches()
+    try:
+        assert find_multiplier((0, 20, 40), 64, 9) == (274878431233, 38, 3)
+        info = sketch._find_multiplier_cached.cache_info()
+        assert find_multiplier((13, 33, 53), 64, 9) == (274878431233, 51, 3)
+        after = sketch._find_multiplier_cached.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+        for bits in ((14, 22, 29), (40, 48, 55)):
+            with pytest.raises(NoValidMultiplier):
+                find_multiplier(bits, 64, 15)
+        info = sketch._find_multiplier_cached.cache_info()
+        assert (info.hits, info.misses) == (after.hits + 1, after.misses + 1)
+    finally:
+        _clear_sketch_caches()
 
 
 def _clear_sketch_caches():
