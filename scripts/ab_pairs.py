@@ -12,8 +12,13 @@ and key compares.  Each of those trees then answers a seeded probe
 set (both ends of the word, sampled keys and their neighbours, random
 words) with ``search``, ``rank``, ``predecessor`` and ``successor``, and
 both sides must give the same answer and charge the same word ops and
-key compares probe for probe.  Any mismatch names its row (``MISMATCH
-read …`` for a read) and exits 1.  Then
+key compares probe for probe.  Both sides' uncached multiplier search
+(``sketch._find_multiplier_cached.__wrapped__``) must also return the
+same constant, or both none, on a fixed case set: every bit set of an
+8-bit word at every window cap 1..r*r+1, de-duplicated by gaps, and
+seeded node-shaped 64-bit sets at the cap their node asks for.  Any
+mismatch names its row (``MISMATCH read …`` for a read, ``MISMATCH
+search …`` for a search case) and exits 1.  Then
 it times ``--pairs`` alternating pairs of one sort (the B-tree, or the
 fusion tree with its default multiplicative sketch, at cap 7 as
 perfbench runs them) from cold sketch caches and prints each side's
@@ -48,6 +53,7 @@ SHAPES = ((64, CAP), (8, CAP), (32, 5), (16, 4))  # (width, cap) of the check ro
 CHECK_N = 2000  # keys per check row, fewer where the width holds fewer
 READS = ("search", "rank", "predecessor", "successor")
 READ_PROBES = 200  # probes per check row, about
+SEARCH_SETS = 2000  # seeded node-shaped 64-bit bit sets in the search check
 MIX_CHUNK = 1000  # operations per timed chunk of --algo mix
 MIX_INSERTS = 0.1  # share of fresh inserts in the mix
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import fusionsort.bench; "
@@ -144,6 +150,39 @@ def cold(pkg) -> None:
     pkg.sketch._find_multiplier_cached.cache_clear()
 
 
+def search_cases(seed: int) -> list:
+    """(gaps, lcap) cases of the multiplier search: every 8-bit set that
+    holds bit 0 (one per gap pattern) at every cap 1..r*r+1, then
+    SEARCH_SETS seeded node-shaped sets, t - 1 distinct bits of a 64-bit
+    word for t in 2..CAP keys, at the cap find_multiplier gives a node
+    of t keys, min(r*r, 64 // t - 1)."""
+    cases = []
+    for mask in range(1, 1 << 8, 2):
+        gaps = tuple(b for b in range(8) if mask >> b & 1)
+        cases += [(gaps, lcap) for lcap in range(1, len(gaps) ** 2 + 2)]
+    rng = random.Random(f"search:{seed}")
+    for _ in range(SEARCH_SETS):
+        t = rng.randint(2, CAP)
+        bits = sorted(rng.sample(range(64), t - 1))
+        gaps = tuple(b - bits[0] for b in bits)
+        cases.append((gaps, min((t - 1) ** 2, 64 // t - 1)))
+    return cases
+
+
+def check_search(base, change, seed: int) -> tuple[int, int]:
+    """(cases, mismatches) of both sides' uncached multiplier search."""
+    cases = search_cases(seed)
+    find_a = base.sketch._find_multiplier_cached.__wrapped__
+    find_b = change.sketch._find_multiplier_cached.__wrapped__
+    bad = 0
+    for gaps, lcap in cases:
+        a, b = find_a(gaps, lcap), find_b(gaps, lcap)
+        if a != b:
+            bad += 1
+            print(f"MISMATCH search gaps={gaps} lcap={lcap}: base {a}, change {b}")
+    return len(cases), bad
+
+
 def check(base, change, seed: int) -> int:
     algos = (("fusion", "multiplicative"), ("fusion", "exact"), ("btree", ""),
              ("mergesort", ""))
@@ -182,8 +221,10 @@ def check(base, change, seed: int) -> int:
                           f"{len(diff)} of {len(ra)} reads differ, first {op}({x}): "
                           f"base (answer, word_ops, key_compares) {tuple(got_a)}, "
                           f"change {tuple(got_b)}")
-    print(f"checked {rows} rows (n <= {CHECK_N}, seed {seed}): "
-          f"{'all identical' if not bad else f'{bad} mismatched'}")
+    searches, wrong = check_search(base, change, seed)
+    bad += wrong
+    print(f"checked {rows} rows and {searches} search cases (n <= {CHECK_N}, "
+          f"seed {seed}): {'all identical' if not bad else f'{bad} mismatched'}")
     return bad
 
 

@@ -211,18 +211,8 @@ class SearchTree:
     def in_order(self) -> list[int]:
         """All keys, strictly increasing."""
         out: list[int] = []
-
-        def walk(n) -> None:
-            if n.children is None:
-                out.extend(n.keys)
-                return
-            for i, k in enumerate(n.keys):
-                walk(n.children[i])
-                out.append(k)
-            walk(n.children[-1])
-
         if self.root is not None:
-            walk(self.root)
+            _walk(self.root, out)
         return out
 
     def __len__(self) -> int:
@@ -270,6 +260,17 @@ class SearchTree:
         if total != self.size or (self.root is None) != (self.height == 0):
             raise AssertionError(f"size {self.size}, height {self.height}, "
                                  f"tree holds {total} keys")
+
+
+def _walk(node, out: list) -> None:
+    """Append the keys under node to out, in order."""
+    if node.children is None:
+        out.extend(node.keys)
+        return
+    for i, k in enumerate(node.keys):
+        _walk(node.children[i], out)
+        out.append(k)
+    _walk(node.children[-1], out)
 
 
 class FusionTree(SearchTree):

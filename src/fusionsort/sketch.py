@@ -169,43 +169,42 @@ def _find_multiplier_cached(gaps: tuple[int, ...], lcap: int):
     if lcap < r:
         return None
     span = gaps[-1] + 1
-    if span <= lcap:  # one shared shift; return before place, a cycle only gc frees
+    if span <= lcap:  # one shared shift
         return (1, 0, span) if _order_preserving(gaps, span, 1, 0, span) else None
-    budget = [_SEARCH_BUDGET]
-    sigmas: list[int] = []
-    negatives: set[int] = set()
-
-    def place(i: int, next_off: int):
-        if i == r:
-            base = span - next_off
-            return (sum(1 << (base + sg) for sg in sigmas), base, next_off)
-        for j in range(r - 1, i - 1, -1):  # longest run first
-            gspan = gaps[j] - gaps[i] + 1
-            last = lcap - gspan if i else min(0, lcap - gspan)  # run 0 at offset 0
-            for o in range(next_off, last + 1):
-                budget[0] -= 1
-                if budget[0] <= 0:
-                    return None
-                sigma = o - gaps[i]
-                fresh: list[int] = []
-                for b in gaps[:i] + gaps[j + 1:]:
-                    p = b + sigma
-                    if 0 <= p < lcap or p in negatives:
-                        break  # a stray in the window or a collision below it
-                    if p < 0:
-                        fresh.append(p)
-                else:
-                    sigmas.append(sigma)
-                    negatives.update(fresh)
-                    found = place(j + 1, o + gspan)
-                    if found is not None:
-                        return found
-                    sigmas.pop()
-                    negatives.difference_update(fresh)
-        return None
-
-    result = place(0, 0)
+    result = _place(gaps, lcap, 0, 0, (), frozenset(), _SEARCH_BUDGET)[0]
     return result if result and _order_preserving(gaps, span, *result) else None
+
+
+def _place(gaps, lcap, i, next_off, sigmas, below, budget):
+    """Place the runs from bit i on, the window filled to next_off;
+    returns ((multiplier, shift, padded_length) or None, steps left).
+    The shifts taken (sigmas) and product terms below the window (below)
+    travel down the recursion, so a dead end has nothing to undo."""
+    r = len(gaps)
+    if i == r:
+        base = gaps[-1] + 1 - next_off
+        return (sum(1 << (base + sg) for sg in sigmas), base, next_off), budget
+    for j in range(r - 1, i - 1, -1):  # longest run first
+        gspan = gaps[j] - gaps[i] + 1
+        last = lcap - gspan if i else min(0, lcap - gspan)  # run 0 at offset 0
+        for o in range(next_off, last + 1):
+            budget -= 1
+            if budget <= 0:
+                return None, budget
+            sigma = o - gaps[i]
+            fresh: list[int] = []
+            for b in gaps[:i] + gaps[j + 1:]:
+                p = b + sigma
+                if 0 <= p < lcap or p in below:
+                    break  # a stray in the window or a collision below it
+                if p < 0:
+                    fresh.append(p)
+            else:
+                found, budget = _place(gaps, lcap, j + 1, o + gspan,
+                                       sigmas + (sigma,), below.union(fresh), budget)
+                if found is not None:
+                    return found, budget
+    return None, budget
 
 
 def _order_preserving(bits_asc, width, mult, shift, plen) -> bool:

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from enum import IntEnum
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionsort.btree import BTree
+from fusionsort import bench, sketch
+from fusionsort.btree import BTree, btree_sort_with_stats
 from fusionsort.fusion_node import NodeError
 from fusionsort.fusion_tree import FusionTree, fusion_sort, fusion_sort_with_stats
 from fusionsort.trie import DuplicateKey
@@ -240,6 +242,42 @@ def test_in_order_small_mixed_set():
     t.check()
     # the sorter restores duplicates that the tree itself cannot hold
     assert fusion_sort(vals + [60], width=16, cap=3) == sorted(vals + [60])
+
+
+def test_tree_operations_leave_no_cyclic_garbage():
+    # Reference counting alone must free what a sort or a tree operation
+    # leaves behind: no self-referencing closure, no search state for the
+    # cyclic collector, whose timing would otherwise land inside timed runs.
+    sketch._scheme_cached.cache_clear()
+    sketch._find_multiplier_cached.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        trees = []
+        for algo, dist in (("fusion", "uniform"), ("fusion", "clustered"),
+                           ("btree", "uniform")):
+            bench.run(bench.BenchConfig(algo, 3000, seed=5, dist=dist))
+            assert gc.collect() == 0, (algo, dist)
+            data = bench.generate(dist, 3000, 7, 64)
+            sort = (fusion_sort_with_stats if algo == "fusion"
+                    else btree_sort_with_stats)
+            trees.append(sort(data, width=64, cap=7)[1])
+            assert gc.collect() == 0, (algo, dist)
+        rng = random.Random(11)
+        for tree in trees:
+            for _ in range(2000):
+                k = rng.getrandbits(64)
+                if k not in tree:
+                    tree.insert(k)
+                tree.rank(k)
+                tree.predecessor(k ^ 1)
+                tree.successor(k ^ 1)
+            assert gc.collect() == 0, type(tree).__name__
+            keys = tree.in_order()
+            assert keys == sorted(keys) and len(keys) == len(tree)
+            assert gc.collect() == 0, type(tree).__name__
+    finally:
+        gc.enable()
 
 
 def test_concurrent_reads_between_mutations():

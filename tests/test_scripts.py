@@ -60,7 +60,8 @@ def test_ab_pairs_same_tree():
     src = str(ROOT / "src")
     lines = _run_script("ab_pairs.py", src, src, "--algo", "fusion",
                         "--n", "500", "--pairs", "2")
-    assert lines[0] == "checked 80 rows (n <= 2000, seed 1): all identical"
+    assert lines[0] == ("checked 80 rows and 4944 search cases (n <= 2000, "
+                        "seed 1): all identical")
     assert [line.split(":")[0] for line in lines[1:3]] == ["pair 1", "pair 2"]
     assert lines[3].endswith(", us/key median (quartiles):")
     assert lines[7] == "fresh-interpreter import fusionsort.bench, ms median (quartiles):"
@@ -76,7 +77,8 @@ def test_ab_pairs_mix_same_tree():
     src = str(ROOT / "src")
     lines = _run_script("ab_pairs.py", src, src, "--algo", "mix",
                         "--n", "300", "--pairs", "2")
-    assert lines[0] == "checked 80 rows (n <= 2000, seed 1): all identical"
+    assert lines[0] == ("checked 80 rows and 4944 search cases (n <= 2000, "
+                        "seed 1): all identical")
     assert [line.split(":")[0] for line in lines[1:3]] == ["pair 1", "pair 2"]
     assert all(line.endswith(" us/op") for line in lines[1:3])
     assert lines[3] == ("mix uniform n=300 width=64 cap=7, 1000-op chunks, "
