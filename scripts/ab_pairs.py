@@ -33,8 +33,21 @@ operation.  Last it times ``--pairs`` alternating pairs of a
 fresh-interpreter ``import fusionsort.bench`` from each ``src/`` and
 prints the same summary in ms.
 
+``--opcodes [N]`` then counts the interpreter's work exactly: the
+per-opcode trace events (``sys.settrace`` with ``f_trace_opcodes``) of
+each side over fixed workloads, a cold fusion sort of N uniform keys
+and one of N clustered keys, a B-tree sort and ``bench.mergesort`` of
+2N uniform keys, and two seeded mix chunks on a warm fusion tree of N
+keys (N is 5000 when not given).  Every workload starts from empty
+sketch caches and an empty ``fusion_node._layout`` cache, after one
+untraced run of the whole set, so a count repeats exactly.  The count
+does not see C-level work (``sorted``, ``Counter``, big-int multiplies,
+cache lookups, allocation, the collector): it shows the direction of a
+change in interpreted work, not its size, and is no speed claim.
+
     python3 scripts/ab_pairs.py BASE/src src --algo btree --n 100000 --pairs 10
     python3 scripts/ab_pairs.py BASE/src src --algo mix --n 100000 --pairs 300
+    python3 scripts/ab_pairs.py BASE/src src --n 1000 --pairs 1 --opcodes
 """
 
 import argparse
@@ -56,6 +69,7 @@ READ_PROBES = 200  # probes per check row, about
 SEARCH_SETS = 2000  # seeded node-shaped 64-bit bit sets in the search check
 MIX_CHUNK = 1000  # operations per timed chunk of --algo mix
 MIX_INSERTS = 0.1  # share of fresh inserts in the mix
+OPCODE_N = 5000  # keys of each cold fusion sort that --opcodes counts
 IMPORT_PROBE = ("import time; t = time.perf_counter(); import fusionsort.bench; "
                 "print(time.perf_counter() - t)")
 
@@ -313,6 +327,79 @@ def mix_pairs(base, change, args):
             f"{MIX_CHUNK}-op chunks", "us/op", us)
 
 
+class OpcodeCount:
+    """Trace function counting the opcode events of every traced frame."""
+
+    def __init__(self):
+        self.n = 0
+
+    def __call__(self, frame, event, arg):
+        if event == "opcode":
+            self.n += 1
+        elif event == "call":
+            frame.f_trace_opcodes = True
+        return self
+
+
+def traced(fn) -> int:
+    """Opcodes the interpreter executes for fn() and all it calls."""
+    count = OpcodeCount()
+    sys.settrace(count)
+    try:
+        fn()
+    finally:
+        sys.settrace(None)
+    return count.n
+
+
+def untraced(fn) -> int:
+    fn()
+    return 0
+
+
+def opcode_work(base, n: int, seed: int) -> list:
+    """The workloads of --opcodes, on keys the base side draws: (label,
+    algo, keys, mix chunks or None)."""
+    uniform = base.bench.generate("uniform", 2 * n, seed, 64)
+    clustered = base.bench.generate("clustered", n, seed, 64)
+    present = sorted(set(uniform[:n]))
+    rng = random.Random(f"mix:{seed}")
+    chunks = [mix_ops(rng, present, set(present), 64) for _ in range(2)]
+    return [(f"fusion uniform n={n}", "fusion", uniform[:n], None),
+            (f"fusion clustered n={n}", "fusion", clustered, None),
+            (f"btree uniform n={2 * n}", "btree", uniform, None),
+            (f"mergesort uniform n={2 * n}", "mergesort", uniform, None),
+            (f"mix 2 x {MIX_CHUNK} ops, warm fusion tree n={n}", "mix",
+             uniform[:n], chunks)]
+
+
+def run_work(pkg, algo: str, keys, chunks, count) -> int:
+    """``count`` (traced or untraced) of one workload on pkg, from empty
+    sketch and node-layout caches; a mix builds its tree untraced."""
+    cold(pkg)
+    pkg.fusion_node._layout.cache_clear()
+    gc.collect()
+    if chunks is None:
+        return count(lambda: sort(pkg, algo, keys, 64))
+    tree = sort(pkg, "fusion", keys, 64)[2]
+    return sum(count(lambda: serve(tree, ops)) for ops in chunks)
+
+
+def opcode_counts(base, change, n: int, seed: int) -> None:
+    """Print each side's opcode count per workload, and change/base."""
+    work = opcode_work(base, n, seed)
+    counts = {}
+    for side, pkg in (("base", base), ("change", change)):
+        for _, algo, keys, chunks in work:  # warm-up: imports, first calls
+            run_work(pkg, algo, keys, chunks, untraced)
+        counts[side] = [run_work(pkg, algo, keys, chunks, traced)
+                        for _, algo, keys, chunks in work]
+    print("interpreter opcodes (sys.settrace opcode events; C-level work "
+          "not seen), base -> change:")
+    for (label, *_), a, b in zip(work, counts["base"], counts["change"]):
+        print(f"  {label}: {a} -> {b} ({b / a:.4f})")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base", help="the src/ directory of the base version")
@@ -325,6 +412,10 @@ def main() -> int:
     ap.add_argument("--width", type=int, default=64)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--opcodes", type=int, nargs="?", const=OPCODE_N,
+                    metavar="N", help="after the timed pairs, count each "
+                    "side's interpreted opcodes over fixed workloads of N "
+                    f"and 2N keys (N defaults to {OPCODE_N})")
     args = ap.parse_args()
 
     base, change = load(args.base, "ab_base"), load(args.change, "ab_change")
@@ -342,6 +433,8 @@ def main() -> int:
         for side, src in (srcs if p % 2 == 0 else srcs[::-1]):
             ms[side].append(import_ms(src))
     summary("fresh-interpreter import fusionsort.bench", "ms", ms, args.pairs)
+    if args.opcodes:
+        opcode_counts(base, change, args.opcodes, args.seed)
     return 0
 
 

@@ -2,8 +2,8 @@
 
 Layers, bottom up:
 
-* wordops      -- width-checked words: the supported widths, word
-                  masks and the word check
+* wordops      -- width-checked words: the supported widths and the
+                  word check
 * trie         -- compressed binary trie, the structural reference for
                   all rank logic: build, descent, rank, branch-bit
                   walks and DOT
@@ -35,12 +35,11 @@ from .sketch import (
     find_multiplier,
     scheme_from_bits,
 )
-from .trie import CompressedTrie, DuplicateKey, EmptyTrie, TrieError
+from .trie import CompressedTrie, DuplicateKey, TrieError
 from .wordops import (
     WIDTHS,
     WordError,
     check_word,
-    word_mask,
 )
 
 __version__ = "0.1.0"
@@ -53,7 +52,7 @@ __all__ = [
     "FusionTree", "fusion_sort", "fusion_sort_with_stats",
     "EXACT", "MULTIPLICATIVE", "NoValidMultiplier", "SketchError",
     "SketchScheme", "find_multiplier", "scheme_from_bits",
-    "CompressedTrie", "DuplicateKey", "EmptyTrie", "TrieError",
-    "WIDTHS", "WordError", "check_word", "word_mask",
+    "CompressedTrie", "DuplicateKey", "TrieError",
+    "WIDTHS", "WordError", "check_word",
     "__version__",
 ]

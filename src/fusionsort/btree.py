@@ -47,15 +47,12 @@ class BTree(SearchTree):
     in_order = SearchTree.in_order
 
 
-def btree_sort_with_stats(values, *, width: int = 64, cap: int = 7,
-                          signed: bool = False):
+def btree_sort_with_stats(values, *, width: int = 64, cap: int = 7):
     """Insert-all-then-walk sort with a multiplicity side table."""
-    return multiplicity_sort(BTree(width=width, cap=cap), values,
-                             signed=signed)
+    return multiplicity_sort(BTree(width=width, cap=cap), values)
 
 
-def btree_sort(values, *, width: int = 64, cap: int = 7,
-               signed: bool = False) -> list[int]:
+def btree_sort(values, *, width: int = 64, cap: int = 7) -> list[int]:
     """Nondecreasing permutation of values (duplicates permitted)."""
-    out, _ = btree_sort_with_stats(values, width=width, cap=cap, signed=signed)
+    out, _ = btree_sort_with_stats(values, width=width, cap=cap)
     return out

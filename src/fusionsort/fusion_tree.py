@@ -11,9 +11,7 @@ The four reads (search, rank, predecessor, successor) each make their
 own charged descent: rank also sums the subtrees it passes on the left,
 and predecessor and successor keep the nearest stored key on their side
 of the query.  Each node carries its subtree cardinality so that
-tree-level rank is exact.  Keys are unsigned words of the tree's width;
-the sorter maps signed inputs through an order-preserving offset when
-asked to.
+tree-level rank is exact.  Keys are unsigned words of the tree's width.
 """
 
 from __future__ import annotations
@@ -234,32 +232,37 @@ class SearchTree:
         exact and ``size`` is the root's.
         """
         low = (self.cap + 1) // 2 - 1
-
-        def walk(node, depth, lo, hi) -> int:
-            ks, kids = node.keys, node.children
-            bounds = [lo, *ks, hi]
-            if not (1 if depth == 1 else low) <= len(ks) <= self.cap:
-                fault = f"{len(ks)} keys"
-            elif any(a >= b for a, b in zip(bounds, bounds[1:])):
-                fault = f"keys not strictly increasing between {lo} and {hi}"
-            elif (kids is None) != (depth == self.height):
-                fault = f"leaves must sit at depth {self.height}"
-            elif kids is not None and len(kids) != len(ks) + 1:
-                fault = f"{len(kids)} children"
-            else:
-                total = len(ks) + sum(
-                    walk(ch, depth + 1, bounds[i], bounds[i + 1])
-                    for i, ch in enumerate(kids or ()))
-                if node.subtree_size == total:
-                    return total
-                fault = f"subtree_size {node.subtree_size}, holds {total}"
-            raise AssertionError(f"node {ks} at depth {depth}: {fault}")
-
         # the separators of the root are the ends of the key universe
-        total = walk(self.root, 1, -1, 1 << self.width) if self.root else 0
+        total = (_check(self.root, 1, -1, 1 << self.width, low, self.cap,
+                        self.height) if self.root else 0)
         if total != self.size or (self.root is None) != (self.height == 0):
             raise AssertionError(f"size {self.size}, height {self.height}, "
                                  f"tree holds {total} keys")
+
+
+def _check(node, depth: int, lo: int, hi: int, low: int, cap: int,
+           height: int) -> int:
+    """Verify the subtree under node, whose keys lie strictly between lo
+    and hi, for ``SearchTree.check``; returns its key count.  ``low`` is
+    the fewest keys a node below the root may hold."""
+    ks, kids = node.keys, node.children
+    bounds = [lo, *ks, hi]
+    if not (1 if depth == 1 else low) <= len(ks) <= cap:
+        fault = f"{len(ks)} keys"
+    elif any(a >= b for a, b in zip(bounds, bounds[1:])):
+        fault = f"keys not strictly increasing between {lo} and {hi}"
+    elif (kids is None) != (depth == height):
+        fault = f"leaves must sit at depth {height}"
+    elif kids is not None and len(kids) != len(ks) + 1:
+        fault = f"{len(kids)} children"
+    else:
+        total = len(ks) + sum(
+            _check(ch, depth + 1, bounds[i], bounds[i + 1], low, cap, height)
+            for i, ch in enumerate(kids or ()))
+        if node.subtree_size == total:
+            return total
+        fault = f"subtree_size {node.subtree_size}, holds {total}"
+    raise AssertionError(f"node {ks} at depth {depth}: {fault}")
 
 
 def _walk(node, out: list) -> None:
@@ -294,51 +297,39 @@ class FusionTree(SearchTree):
     in_order = SearchTree.in_order
 
 
-def multiplicity_sort(tree, values, *, signed: bool = False):
+def multiplicity_sort(tree, values):
     """Sort values through an empty tree: insert each distinct key once,
     in first-occurrence order, then replay multiplicities along the
     in-order walk; when every key is distinct the walk is the output.
-    Signed values map through the order-preserving offset
-    2**(width-1).  Returns (sorted list, tree)."""
+    Returns (sorted list, tree)."""
     counts = Counter(values)  # one C pass; keeps first-occurrence order
     distinct = counts.total() == len(counts)
-    if signed:
-        top = 1 << (tree.width - 1)
-        for v in counts:
-            if not -top <= v < top:
-                raise NodeError(f"value {v} out of signed {tree.width}-bit range")
-        counts = {v + top: n for v, n in counts.items()}
-    # Unsigned keys go in and come out as the caller's own int objects:
-    # offsetting by 0 would allocate a new big int per key.
     for u in counts:
         tree.insert(u)
     walk = tree.in_order()
     if distinct:
-        return ([u - top for u in walk] if signed else walk), tree
+        return walk, tree
     out: list[int] = []
     for u in walk:
-        v = u - top if signed else u
         n = counts[u]
         if n == 1:
-            out.append(v)
+            out.append(u)
         else:
-            out.extend(repeat(v, n))
+            out.extend(repeat(u, n))
     return out, tree
 
 
 def fusion_sort_with_stats(values, *, width: int = 64, cap: int = 7,
-                           strategy: str = MULTIPLICATIVE,
-                           signed: bool = False):
+                           strategy: str = MULTIPLICATIVE):
     """Sort by inserting every distinct key and replaying multiplicities
     during the in-order walk.  Returns (sorted list, tree)."""
     return multiplicity_sort(
-        FusionTree(width=width, cap=cap, strategy=strategy), values,
-        signed=signed)
+        FusionTree(width=width, cap=cap, strategy=strategy), values)
 
 
 def fusion_sort(values, *, width: int = 64, cap: int = 7,
-                strategy: str = MULTIPLICATIVE, signed: bool = False) -> list[int]:
+                strategy: str = MULTIPLICATIVE) -> list[int]:
     """Nondecreasing permutation of values (duplicates permitted)."""
     out, _ = fusion_sort_with_stats(values, width=width, cap=cap,
-                                    strategy=strategy, signed=signed)
+                                    strategy=strategy)
     return out

@@ -26,10 +26,6 @@ class DuplicateKey(TrieError):
     """Key is already present."""
 
 
-class EmptyTrie(TrieError):
-    """Operation requires at least one key."""
-
-
 class _Leaf:
     __slots__ = ("key",)
 
@@ -80,13 +76,6 @@ class CompressedTrie:
             node = node.one if (x >> node.bit) & 1 else node.zero
         return node.key
 
-    def trs(self, x: int) -> int:
-        """Leaf reached by following x's bit at every branch on the way down."""
-        if self.root is None:
-            raise EmptyTrie("search on an empty trie")
-        check_word(x, self.width)
-        return self._descend(x)
-
     def rank(self, x: int) -> int:
         """Number of keys <= x.
 
@@ -134,23 +123,23 @@ class CompressedTrie:
             "digraph compressed_trie {",
             "  node [fontname=monospace];",
         ]
-        counter = [0]
-        width = self.width
-
-        def emit(node) -> str:
-            name = f"n{counter[0]}"
-            counter[0] += 1
-            if isinstance(node, _Leaf):
-                lines.append(f'  {name} [shape=box label="{node.key:0{width}b}"];')
-                return name
-            lines.append(f'  {name} [label="b{node.bit}"];')
-            zero = emit(node.zero)
-            lines.append(f'  {name} -> {zero} [label="0"];')
-            one = emit(node.one)
-            lines.append(f'  {name} -> {one} [label="1"];')
-            return name
-
         if self.root is not None:
-            emit(self.root)
+            _emit(self.root, self.width, lines, 0)
         lines.append("}")
         return "\n".join(lines) + "\n"
+
+
+def _emit(node, width: int, lines: list, i: int) -> int:
+    """Append the DOT lines of the subtree under node, its nodes named
+    n<i>, n<i+1>, ... in preorder; returns the next free index.  Each
+    edge line follows its child's subtree."""
+    name = f"n{i}"
+    if isinstance(node, _Leaf):
+        lines.append(f'  {name} [shape=box label="{node.key:0{width}b}"];')
+        return i + 1
+    lines.append(f'  {name} [label="b{node.bit}"];')
+    one = _emit(node.zero, width, lines, i + 1)
+    lines.append(f'  {name} -> n{i + 1} [label="0"];')
+    end = _emit(node.one, width, lines, one)
+    lines.append(f'  {name} -> n{one} [label="1"];')
+    return end

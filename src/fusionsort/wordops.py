@@ -1,11 +1,8 @@
-"""Word-RAM primitives over width-parameterized unsigned integers.
+"""Word-RAM words: width-parameterized unsigned integers.
 
-Bit index 0 is the least significant bit.  Every function takes the word
-width explicitly (8, 16, 32 or 64 bits), validates its inputs against
-that width, and masks results back into range, mimicking a machine that
-performs w-bit arithmetic, logic and shifts in constant time.  All
-functions are pure; operation counting happens at the call sites that
-use them.
+Bit index 0 is the least significant bit.  A word of width w (8, 16, 32
+or 64 bits) is an int in [0, 2**w); ``check_word`` validates one against
+its width.  Operation counting happens at the call sites that use words.
 """
 
 from __future__ import annotations
@@ -20,12 +17,6 @@ class WordError(ValueError):
 def _check_width(width: int) -> None:
     if width not in WIDTHS:
         raise WordError(f"unsupported word width {width!r}; expected one of {WIDTHS}")
-
-
-def word_mask(width: int) -> int:
-    """All-ones word of the given width."""
-    _check_width(width)
-    return (1 << width) - 1
 
 
 def check_word(value: int, width: int) -> int:

@@ -1,18 +1,21 @@
 """Reference implementations the tests check the package against.
 
-Word primitives the package itself never calls: floor-lg (plain and by
-de Bruijn multiplication), the differing-bit position, the low-bit mask,
-forcing a word's low bits to ones or zeros (with the bit-index check and
-its ``IndexOutOfWidth``), and the packed-block masks that a node's
-query-replication multiplier and separator mask must equal.  Also the
-per-bit exact sketch and the per-pattern order check of a multiplicative
-sketch constant.  The compressed trie's in-place splice (``trie_insert``)
-and its two whole-structure walks (``trie_leaves``, ``trie_to_tuple``),
-which check that a spliced trie equals the one built from all its keys.
-And the per-call input generator that ``bench.generate`` must reproduce
-key for key, the loop form of ``FusionNode.locate`` that its
-straight-line passes must match probe for probe, and the fuller
-multiplier search whose constants the lean one must equal.
+Word primitives the package itself never calls: the all-ones word mask,
+floor-lg (plain and by de Bruijn multiplication), the differing-bit
+position, the low-bit mask, forcing a word's low bits to ones or zeros
+(with the bit-index check and its ``IndexOutOfWidth``), and the
+packed-block masks that a node's query-replication multiplier and
+separator mask must equal.  Also the per-bit exact sketch and the
+per-pattern order check of a multiplicative sketch constant.  The
+compressed trie's one-descent search (``trs``), its in-place splice
+(``trie_insert``) and its two whole-structure walks (``trie_leaves``,
+``trie_to_tuple``), which check that a spliced trie equals the one built
+from all its keys.  The per-call input generator that ``bench.generate``
+must reproduce key for key, and a digits-only reader of key files that
+``bench.read_keys`` must agree with.  And the loop form of
+``FusionNode.locate`` that its straight-line passes must match probe
+for probe, and the fuller multiplier search whose constants the lean
+one must equal.
 """
 
 import random
@@ -20,8 +23,7 @@ from bisect import insort
 
 from fusionsort.sketch import _SEARCH_BUDGET, NoValidMultiplier, _order_preserving
 from fusionsort.trie import DuplicateKey, _Branch, _Leaf
-from fusionsort.wordops import (WIDTHS, WordError, _check_width, check_word,
-                                word_mask)
+from fusionsort.wordops import WIDTHS, WordError, _check_width, check_word
 
 
 class IndexOutOfWidth(WordError):
@@ -34,6 +36,12 @@ class ZeroWord(WordError):
 
 class EqualWords(WordError):
     """Differing-bit position requested for two equal words."""
+
+
+def word_mask(width: int) -> int:
+    """All-ones word of the given width."""
+    _check_width(width)
+    return (1 << width) - 1
 
 
 def msb(x: int, width: int = 64) -> int:
@@ -179,6 +187,13 @@ def order_preserving(bits_asc, width, mult, shift, plen) -> bool:
     return True
 
 
+def trs(trie, x: int) -> int:
+    """Leaf of a non-empty ``CompressedTrie`` reached by following x's
+    bit at every branch on the way down."""
+    check_word(x, trie.width)
+    return trie._descend(x)
+
+
 def trie_insert(trie, x: int):
     """Splice x into a ``CompressedTrie`` in place; the single new branch
     bit is delta(x, trs(x)).  Must give the trie built from all the keys."""
@@ -257,6 +272,43 @@ def generate(dist: str, n: int, seed: int, width: int) -> list[int]:
     universe = max(1, -(-n // 10))
     pool = [rng.getrandbits(width) for _ in range(universe)]
     return [pool[rng.randrange(universe)] for _ in range(n)]
+
+
+KEY_FILE_MAGIC = b"WRDKEYS\x00"
+DIGITS = b"0123456789"
+
+
+def read_key_file(data: bytes, width: int = 64):
+    """Reference for ``bench.read_keys`` on a file's bytes: (keys, width
+    from the header or None for text), or None where it must refuse the
+    file.  Binary is the magic, one width byte and little-endian words of
+    that width.  Text is lines split at newlines; each, stripped of ASCII
+    whitespace, is blank or ASCII digits only, naming a word of width
+    bits.  Lines past ``int()``'s digit limit are outside its domain."""
+    if data.startswith(KEY_FILE_MAGIC):
+        head = data[len(KEY_FILE_MAGIC):len(KEY_FILE_MAGIC) + 1]
+        if not head or head[0] not in WIDTHS:
+            return None
+        step = head[0] // 8
+        payload = data[len(KEY_FILE_MAGIC) + 1:]
+        if len(payload) % step:
+            return None
+        return [int.from_bytes(payload[i:i + step], "little")
+                for i in range(0, len(payload), step)], head[0]
+    keys = []
+    for line in data.split(b"\n"):
+        text = line.strip(b" \t\n\r\x0b\x0c")
+        if not text:
+            continue
+        value = 0
+        for byte in text:
+            if byte not in DIGITS:
+                return None
+            value = value * 10 + byte - DIGITS[0]
+        if value >> width:
+            return None
+        keys.append(value)
+    return keys, None
 
 
 def locate(node, x: int, ops, trace: dict | None = None):

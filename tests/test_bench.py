@@ -1,5 +1,6 @@
 import hashlib
 import os
+import random
 import re
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from fusionsort import bench, cli
 from fusionsort.btree import BTree
 from fusionsort.cli import main as cli_main
 from fusionsort.counters import OpCounters
+from fusionsort.sketch import STRATEGIES
 from fusionsort.wordops import WIDTHS
 
 import oracles
@@ -624,6 +626,85 @@ def test_cli_in_fuzz(tmp_path, capsys, data):
         return
     got = [int(line) for line in out.splitlines()]
     assert got == sorted(got) == sorted(read_keys(str(path))[0])
+
+
+_GOOD_LINES = [b"0", b"255", b"256", b" 7 ", b"\t42\r", b"007", b"",
+               str((1 << 64) - 1).encode()]
+_BAD_LINES = [b"-0", b"-3", b"+5", b"1_0", b"x", b"0x10", str(1 << 64).encode(),
+              "\u0663".encode()]  # the last is a non-ASCII digit
+
+
+def _fuzz_key_file(rng) -> bytes:
+    """Random bytes, a binary file (its width byte and payload random), or
+    key lines, most of them readable, with at most one drawn from all."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return rng.randbytes(rng.randrange(48))
+    if kind == 1:
+        head = rng.choice([b"", bytes([rng.choice(WIDTHS)]),
+                           bytes([rng.randrange(256)])])
+        return KEY_FILE_MAGIC + head + rng.randbytes(rng.randrange(48))
+    lines = [rng.choice(_GOOD_LINES) for _ in range(rng.randrange(12))]
+    if lines and kind == 3:
+        lines[rng.randrange(len(lines))] = rng.choice(_GOOD_LINES + _BAD_LINES)
+    return b"\n".join(lines) + rng.choice([b"", b"\n", b"\r\n"])
+
+
+def _fuzz_flags(rng, out: str, missing: str) -> list[str]:
+    """A random --in flag set: each flag given or not, values parseable
+    but not always accepted (cap, --strategy with another algo,
+    --out-binary without --out, --out into a missing directory)."""
+    flags = []
+    if rng.random() < 0.5:
+        flags += ["--algo", rng.choice(ALGOS)]
+    if rng.random() < 0.5:
+        flags += ["--width", str(rng.choice(WIDTHS))]
+    if rng.random() < 0.3:
+        flags += ["--cap", str(rng.choice([2, 3, 5, 7, 8, 9]))]
+    if rng.random() < 0.2:
+        flags += ["--strategy", rng.choice(STRATEGIES)]
+    if rng.random() < 0.5:
+        flags += ["--out", out if rng.random() < 0.9 else missing]
+    if rng.random() < 0.3:
+        flags += ["--out-binary"]
+    return flags
+
+
+def test_cli_in_contract_seeded_fuzz(tmp_path, capsys):
+    # the CLI's failure contract over generated key files and flag sets: a
+    # documented exit code, one stderr line on failure, no escaping
+    # exception, and on success the sorted keys a digits-only reader finds
+    codes = {int(c) for c in re.findall(r"^  (\d)  ", cli.EXIT_CODES, re.M)}
+    assert codes == {0, 1, 2, 3}
+    rng = random.Random("cli-contract")
+    path, missing = tmp_path / "keys", str(tmp_path / "missing" / "out")
+    seen = set()
+    for case in range(300):
+        data = _fuzz_key_file(rng)
+        path.write_bytes(data)
+        out = tmp_path / f"out{case}"
+        argv = ["--in", str(path)] + _fuzz_flags(rng, str(out), missing)
+        try:
+            code = cli_main(argv)
+        except (Exception, SystemExit) as exc:
+            pytest.fail(f"{argv} on {data!r}: {exc!r} escaped")
+        stdout, err = capsys.readouterr()
+        seen.add(code)
+        assert code in codes, (argv, data)
+        if code:
+            assert err.count("\n") == 1 and err.endswith("\n"), (argv, data, err)
+            continue
+        assert err == "", (argv, data, err)
+        width = int(argv[argv.index("--width") + 1]) if "--width" in argv else 64
+        want = oracles.read_key_file(data, width)
+        assert want is not None, (argv, data)
+        if "--out" in argv:
+            written = oracles.read_key_file(out.read_bytes())
+            got = written[0] if written else None
+        else:
+            got = oracles.read_key_file(stdout.encode())[0]
+        assert got == sorted(want[0]), (argv, data)
+    assert {0, 2, 3} <= seen
 
 
 def test_readme_flag_table_matches_cli():

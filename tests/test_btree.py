@@ -80,12 +80,6 @@ def test_btree_sort():
         assert btree_sort(data, width=8) == sorted(data)
 
 
-def test_btree_sort_signed():
-    rng = random.Random(17)
-    data = [rng.randint(-(1 << 31), (1 << 31) - 1) for _ in range(1000)]
-    assert btree_sort(data, width=32, signed=True) == sorted(data)
-
-
 def test_structural_equivalence_with_fusion_tree():
     # same cap, same insertion order: identical key-to-node distribution
     rng = random.Random(19)

@@ -11,7 +11,7 @@ from fusionsort import bench, sketch
 from fusionsort.btree import BTree, btree_sort_with_stats
 from fusionsort.fusion_node import NodeError
 from fusionsort.fusion_tree import FusionTree, fusion_sort, fusion_sort_with_stats
-from fusionsort.trie import DuplicateKey
+from fusionsort.trie import CompressedTrie, DuplicateKey
 from fusionsort.wordops import WordError
 
 
@@ -276,6 +276,10 @@ def test_tree_operations_leave_no_cyclic_garbage():
             keys = tree.in_order()
             assert keys == sorted(keys) and len(keys) == len(tree)
             assert gc.collect() == 0, type(tree).__name__
+            tree.check()
+            assert gc.collect() == 0, type(tree).__name__
+        assert CompressedTrie(keys[:200], width=64).to_dot().count(" -> ") == 398
+        assert gc.collect() == 0
     finally:
         gc.enable()
 
@@ -346,14 +350,6 @@ def test_fusion_sort_random_with_duplicates():
     for _ in range(30):
         data = [rng.randrange(50) for _ in range(rng.randrange(0, 400))]
         assert fusion_sort(data, width=8) == sorted(data)
-
-
-def test_fusion_sort_signed():
-    rng = random.Random(101)
-    data = [rng.randint(-(1 << 63), (1 << 63) - 1) for _ in range(2000)]
-    assert fusion_sort(data, signed=True) == sorted(data)
-    with pytest.raises(NodeError):
-        fusion_sort([1 << 63], signed=True)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=(1 << 64) - 1), max_size=300))

@@ -8,6 +8,8 @@ from pathlib import Path
 
 from fusionsort.trie import CompressedTrie
 
+from oracles import trs
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -52,7 +54,7 @@ def test_node_anatomy_multiplicative_64bit():
     assert int(fields["rank"]) == bisect_right(keys, x)
     selected = int(fields["shares prefix"])
     assert selected in keys
-    want = CompressedTrie(keys, width=64).trs(x)
+    want = trs(CompressedTrie(keys, width=64), x)
     assert (x ^ selected).bit_length() == (x ^ want).bit_length()
 
 
@@ -85,3 +87,22 @@ def test_ab_pairs_mix_same_tree():
                         "us/op median (quartiles):")
     assert lines[6].startswith("  ratio ") and lines[6].endswith(" of 2 pairs")
     assert len(lines) == 11
+
+
+def test_ab_pairs_opcodes_repeat():
+    # the same tree counted twice, as base and as change, at tiny n: every
+    # workload's opcode count repeats exactly
+    src = str(ROOT / "src")
+    lines = _run_script("ab_pairs.py", src, src, "--algo", "btree",
+                        "--n", "100", "--pairs", "1", "--opcodes", "100")
+    assert len(lines) == 16
+    assert lines[10] == ("interpreter opcodes (sys.settrace opcode events; "
+                         "C-level work not seen), base -> change:")
+    rows = [line.split(": ") for line in lines[11:]]
+    assert [label for label, _ in rows] == [
+        "  fusion uniform n=100", "  fusion clustered n=100",
+        "  btree uniform n=200", "  mergesort uniform n=200",
+        "  mix 2 x 1000 ops, warm fusion tree n=100"]
+    for _, counts in rows:
+        a, b, ratio = counts.replace(" -> ", " ").split()
+        assert a == b and int(a) > 0 and ratio == "(1.0000)"

@@ -16,9 +16,7 @@ from fusionsort.sketch import (
     scheme_from_bits,
 )
 from fusionsort.trie import CompressedTrie
-from fusionsort.wordops import word_mask
-
-from oracles import find_multiplier_dfs, order_preserving, sketch_exact
+from oracles import find_multiplier_dfs, order_preserving, sketch_exact, word_mask
 
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
 

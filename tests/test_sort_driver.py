@@ -4,6 +4,8 @@ Each sorter must return sorted() and charge exactly what a tree charges
 when it is handed the distinct keys in first-occurrence order, whether
 keys repeat (the walk is replayed with multiplicities) or not (the walk
 is the output), and whether the input is a list or a one-pass generator.
+The signed cases map their values to unsigned words through the
+order-preserving offset 2**(width-1) before sorting.
 """
 
 import random
@@ -57,13 +59,14 @@ def _charges(tree):
                               "signed32_distinct", "uniform64_generator"])
 def test_sorter_matches_oracle(sorter, tree_cls, make, width, signed, feed):
     data = make(random.Random(f"{make.__name__}:{width}"))
-    out, tree = sorter(feed(data), width=width, cap=5, signed=signed)
+    if signed:
+        data = [v + (1 << (width - 1)) for v in data]
+    out, tree = sorter(feed(data), width=width, cap=5)
     assert out == sorted(data)
 
-    offset = 1 << (width - 1) if signed else 0
     ref = tree_cls(width=width, cap=5)
     for v in dict.fromkeys(data):  # distinct keys, first occurrence first
-        ref.insert(v + offset)
+        ref.insert(v)
     assert len(tree) == len(ref)
     assert _charges(tree) == _charges(ref)
     assert tree.in_order() == ref.in_order()

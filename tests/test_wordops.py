@@ -6,7 +6,6 @@ from fusionsort.wordops import (
     WIDTHS,
     WordError,
     check_word,
-    word_mask,
 )
 
 from oracles import (
@@ -21,6 +20,7 @@ from oracles import (
     msb_debruijn,
     set_low_bits,
     trailing_ones_mask,
+    word_mask,
 )
 
 words64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
