@@ -21,8 +21,9 @@ mismatch names its row (``MISMATCH read …`` for a read, ``MISMATCH
 search …`` for a search case) and exits 1.  Then
 it times ``--pairs`` alternating pairs of one sort (the B-tree, or the
 fusion tree with its default multiplicative sketch, at cap 7 as
-perfbench runs them) from cold sketch caches and prints each side's
-median and quartiles in µs per key, and how many pairs the change won.
+perfbench runs them) from cold caches (both sketch caches and
+``fusion_node._layout`` empty) and prints each side's median and
+quartiles in µs per key, and how many pairs the change won.
 ``--algo mix`` times the read path instead: each side builds a fusion
 tree over the same ``--n`` keys, and every pair serves one seeded chunk
 of 1000 operations on both warm trees (90 % reads spread over
@@ -38,12 +39,12 @@ per-opcode trace events (``sys.settrace`` with ``f_trace_opcodes``) of
 each side over fixed workloads, a cold fusion sort of N uniform keys
 and one of N clustered keys, a B-tree sort and ``bench.mergesort`` of
 2N uniform keys, and two seeded mix chunks on a warm fusion tree of N
-keys (N is 5000 when not given).  Every workload starts from empty
-sketch caches and an empty ``fusion_node._layout`` cache, after one
-untraced run of the whole set, so a count repeats exactly.  The count
-does not see C-level work (``sorted``, ``Counter``, big-int multiplies,
-cache lookups, allocation, the collector): it shows the direction of a
-change in interpreted work, not its size, and is no speed claim.
+keys (N is 5000 when not given).  Every workload starts from the same
+cold caches as a timed sort, after one untraced run of the whole set,
+so a count repeats exactly.  The count does not see C-level work
+(``sorted``, ``Counter``, big-int multiplies, cache lookups, allocation,
+the collector): it shows the direction of a change in interpreted work,
+not its size, and is no speed claim.
 
     python3 scripts/ab_pairs.py BASE/src src --algo btree --n 100000 --pairs 10
     python3 scripts/ab_pairs.py BASE/src src --algo mix --n 100000 --pairs 300
@@ -159,9 +160,11 @@ def serve(tree, ops) -> list:
 
 
 def cold(pkg) -> None:
-    """Empty the package's sketch caches, as a fresh process has them."""
+    """Empty the package's sketch caches and its node-layout cache, as a
+    fresh process has them."""
     pkg.sketch._scheme_cached.cache_clear()
     pkg.sketch._find_multiplier_cached.cache_clear()
+    pkg.fusion_node._layout.cache_clear()
 
 
 def search_cases(seed: int) -> list:
@@ -266,7 +269,7 @@ def summary(what: str, unit: str, xs: dict, pairs: int) -> None:
 
 
 def sort_pairs(base, change, args):
-    """Alternating timed sorts from cold sketch caches: (label, unit,
+    """Alternating timed sorts from cold caches: (label, unit,
     {side: µs per key}), or None if a side's output is wrong."""
     data = base.bench.generate(args.dist, args.n, args.seed, args.width)
     expected = sorted(data)
@@ -374,10 +377,9 @@ def opcode_work(base, n: int, seed: int) -> list:
 
 
 def run_work(pkg, algo: str, keys, chunks, count) -> int:
-    """``count`` (traced or untraced) of one workload on pkg, from empty
-    sketch and node-layout caches; a mix builds its tree untraced."""
+    """``count`` (traced or untraced) of one workload on pkg, from cold
+    caches; a mix builds its tree untraced."""
     cold(pkg)
-    pkg.fusion_node._layout.cache_clear()
     gc.collect()
     if chunks is None:
         return count(lambda: sort(pkg, algo, keys, 64))

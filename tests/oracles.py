@@ -15,12 +15,15 @@ must reproduce key for key, and a digits-only reader of key files that
 ``bench.read_keys`` must agree with.  And the loop form of
 ``FusionNode.locate`` that its straight-line passes must match probe
 for probe, and the fuller multiplier search whose constants the lean
-one must equal.
+one must equal.  A counting word, which tallies the word operations run
+on it, so a test can set what ``locate`` charges beside what it runs.
+And the one cold start: every cache a fresh process starts without.
 """
 
 import random
 from bisect import insort
 
+from fusionsort import fusion_node, sketch
 from fusionsort.sketch import _SEARCH_BUDGET, NoValidMultiplier, _order_preserving
 from fusionsort.trie import DuplicateKey, _Branch, _Leaf
 from fusionsort.wordops import WIDTHS, WordError, _check_width, check_word
@@ -390,6 +393,50 @@ def locate(node, x: int, ops, trace: dict | None = None):
     ops.word_ops += w
     ops.key_compares += kc + 1 if c else kc  # ... plus the membership compare
     return c, False
+
+
+class CountingWord(int):
+    """A word that adds one to ``tally[0]`` for each word operation run on
+    it: arithmetic, logic, shift, compare, ``bit_length`` and truth test,
+    the reflected forms included, so an int on the left counts too.
+    Results are counting words on the same tally, except a compare's (a
+    bool) and a floor division's (a block index): both are control
+    values, and branching on them, comparing or adding them counts
+    nothing."""
+
+    def __new__(cls, value: int, tally: list):
+        word = super().__new__(cls, value)
+        word.tally = tally
+        return word
+
+
+def _counted(name: str, word_result: bool):
+    op = getattr(int, name)
+
+    def method(self, *args):
+        self.tally[0] += 1
+        value = op(self, *args)
+        return CountingWord(value, self.tally) if word_result else value
+
+    return method
+
+
+for _name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+              "__rmul__", "__and__", "__rand__", "__or__", "__ror__",
+              "__xor__", "__rxor__", "__invert__", "__lshift__",
+              "__rlshift__", "__rshift__", "__rrshift__", "bit_length"):
+    setattr(CountingWord, _name, _counted(_name, True))
+for _name in ("__floordiv__", "__rfloordiv__", "__lt__", "__le__", "__gt__",
+              "__ge__", "__eq__", "__ne__", "__bool__"):
+    setattr(CountingWord, _name, _counted(_name, False))
+
+
+def cold() -> None:
+    """Empty both sketch caches and the node-layout cache, as a fresh
+    process has them."""
+    sketch._scheme_cached.cache_clear()
+    sketch._find_multiplier_cached.cache_clear()
+    fusion_node._layout.cache_clear()
 
 
 def find_multiplier_dfs(bits: tuple[int, ...], width: int, lcap: int):

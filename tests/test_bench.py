@@ -6,8 +6,6 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from fusionsort.bench import (
     ALGOS,
@@ -601,33 +599,6 @@ def test_cli_flag_table_covers_every_flag(tmp_path, capsys, flag, mode):
     assert list(tmp_path.iterdir()) == [keys]
 
 
-_KEY_FILES = st.one_of(
-    st.binary(max_size=80),
-    st.lists(st.integers(-3, 1 << 66), max_size=20).map(
-        lambda xs: "".join(f"{x}\n" for x in xs).encode()),
-    st.tuples(st.one_of(st.sampled_from(WIDTHS), st.integers(0, 255)),
-              st.binary(max_size=80)).map(
-        lambda wp: KEY_FILE_MAGIC + bytes([wp[0]]) + wp[1]),
-)
-
-
-@settings(max_examples=200, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=_KEY_FILES)
-def test_cli_in_fuzz(tmp_path, capsys, data):
-    # any --in file is sorted (exit 0) or refused with one "bad key file" line
-    path = tmp_path / "keys"
-    path.write_bytes(data)
-    code = cli_main(["--in", str(path)])
-    out, err = capsys.readouterr()
-    assert code in (0, 2) and "Traceback" not in err
-    if code == 2:
-        assert err.count("\n") == 1 and err.startswith("bad key file"), err
-        return
-    got = [int(line) for line in out.splitlines()]
-    assert got == sorted(got) == sorted(read_keys(str(path))[0])
-
-
 _GOOD_LINES = [b"0", b"255", b"256", b" 7 ", b"\t42\r", b"007", b"",
                str((1 << 64) - 1).encode()]
 _BAD_LINES = [b"-0", b"-3", b"+5", b"1_0", b"x", b"0x10", str(1 << 64).encode(),
@@ -673,12 +644,13 @@ def _fuzz_flags(rng, out: str, missing: str) -> list[str]:
 def test_cli_in_contract_seeded_fuzz(tmp_path, capsys):
     # the CLI's failure contract over generated key files and flag sets: a
     # documented exit code, one stderr line on failure, no escaping
-    # exception, and on success the sorted keys a digits-only reader finds
+    # exception, and on success the sorted keys a digits-only reader finds;
+    # given only --in, a run is refused for its key file or not at all
     codes = {int(c) for c in re.findall(r"^  (\d)  ", cli.EXIT_CODES, re.M)}
     assert codes == {0, 1, 2, 3}
     rng = random.Random("cli-contract")
     path, missing = tmp_path / "keys", str(tmp_path / "missing" / "out")
-    seen = set()
+    seen, bare_refused = set(), 0
     for case in range(300):
         data = _fuzz_key_file(rng)
         path.write_bytes(data)
@@ -691,6 +663,10 @@ def test_cli_in_contract_seeded_fuzz(tmp_path, capsys):
         stdout, err = capsys.readouterr()
         seen.add(code)
         assert code in codes, (argv, data)
+        if len(argv) == 2 and code:
+            assert code == 2 and err.startswith("bad key file"), (data, err)
+            assert oracles.read_key_file(data) is None, data
+            bare_refused += 1
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), (argv, data, err)
             continue
@@ -704,7 +680,7 @@ def test_cli_in_contract_seeded_fuzz(tmp_path, capsys):
         else:
             got = oracles.read_key_file(stdout.encode())[0]
         assert got == sorted(want[0]), (argv, data)
-    assert {0, 2, 3} <= seen
+    assert {0, 2, 3} <= seen and bare_refused
 
 
 def test_readme_flag_table_matches_cli():

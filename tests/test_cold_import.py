@@ -15,10 +15,11 @@ from pathlib import Path
 
 import pytest
 
-from fusionsort import sketch
 from fusionsort.bench import BenchConfig, BenchRecord, run
 from fusionsort.counters import OpCounters
 from fusionsort.sketch import EXACT, MULTIPLICATIVE, SketchScheme, scheme_from_bits
+
+from oracles import cold
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,11 +54,6 @@ def test_import_loads_no_heavy_stdlib_modules():
         f"{sorted(cli_mods & HEAVY)}"
 
 
-def _cold():
-    sketch._scheme_cached.cache_clear()
-    sketch._find_multiplier_cached.cache_clear()
-
-
 # -- SketchScheme ---------------------------------------------------------------
 
 
@@ -65,9 +61,9 @@ def test_scheme_rebuilt_from_cold_caches_is_equal():
     args = [((0, 9, 20, 41), 64, MULTIPLICATIVE, None),
             ((0, 9, 20), 64, MULTIPLICATIVE, 2),  # falls back to exact
             ((3, 1), 16, EXACT, None)]
-    _cold()
+    cold()
     first = [scheme_from_bits(*a) for a in args]
-    _cold()
+    cold()
     again = [scheme_from_bits(*a) for a in args]
     for a, b in zip(first, again):
         assert a is not b  # a fresh instance, not the cached one
@@ -94,7 +90,7 @@ def test_scheme_fields_defaults_and_immutability():
 
 def test_fallback_debug_record_survives(caplog):
     caplog.set_level(logging.DEBUG, logger="fusionsort.sketch")
-    _cold()
+    cold()
     s = scheme_from_bits([0, 9, 20], 64, MULTIPLICATIVE, 2)  # 3 bits, window 2
     assert s.strategy == EXACT and s.fallback
     scheme_from_bits([20, 0, 9], 64, MULTIPLICATIVE, 2)  # cached: no second record

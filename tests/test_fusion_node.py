@@ -284,6 +284,25 @@ def test_locate():
         assert n.locate(hi, ops) == (i + 2, True)
 
 
+def _probed_nodes(rng, per_shape, ends=True):
+    """per_shape nodes of t = 1..8 random keys for each width and sketch
+    strategy, each with its sorted probes: the keys and their neighbours,
+    8 random words, and both ends of the word if ``ends``."""
+    for width in WIDTHS:
+        top = (1 << width) - 1
+        for t in range(1, 9):
+            for strategy in (EXACT, MULTIPLICATIVE):
+                for _ in range(per_shape):
+                    keys = set()
+                    while len(keys) < t:
+                        keys.add(rng.getrandbits(width))
+                    keys = sorted(keys)
+                    probes = {0, top} if ends else set()
+                    probes.update(min(top, max(0, k + d)) for k in keys for d in (-1, 0, 1))
+                    probes.update(rng.getrandbits(width) for _ in range(8))
+                    yield FusionNode(keys, width=width, cap=8, strategy=strategy), sorted(probes)
+
+
 def _exit(n, x, answer, trace):
     """Which exit of locate's straight-line passes x leaves by."""
     if len(n.keys) == 1:
@@ -302,34 +321,73 @@ def _exit(n, x, answer, trace):
 def test_locate_matches_loop_oracle():
     # the straight-line passes answer, charge and trace probe for probe
     # as the loop form in tests/oracles.py does
-    rng = random.Random(PIN_SEED + 1)
     exits = Counter()
-    for width in WIDTHS:
-        top = (1 << width) - 1
-        for t in range(1, 9):
-            for strategy in (EXACT, MULTIPLICATIVE):
-                for _ in range(6):
-                    keys = set()
-                    while len(keys) < t:
-                        keys.add(rng.getrandbits(width))
-                    keys = sorted(keys)
-                    probes = {0, top}
-                    probes.update(min(top, max(0, k + d)) for k in keys for d in (-1, 0, 1))
-                    probes.update(rng.getrandbits(width) for _ in range(8))
-                    n = FusionNode(keys, width=width, cap=8, strategy=strategy)
-                    for x in sorted(probes):
-                        got_ops, want_ops = OpCounters(), OpCounters()
-                        got_trace, want_trace = {}, {}
-                        got = n.locate(x, got_ops, got_trace)
-                        want = oracles.locate(n, x, want_ops, want_trace)
-                        assert (got, got_ops.snapshot(), got_trace) == (
-                            want, want_ops.snapshot(), want_trace), (keys, strategy, x)
-                        assert got == (scan_rank(keys, x), x in keys)
-                        exits[_exit(n, x, got, got_trace)] += 1
-                        if t > 1 and got_trace["count"] == t:
-                            exits["pass 1 with no survivor"] += 1
+    for n, probes in _probed_nodes(random.Random(PIN_SEED + 1), 6):
+        keys, t = n.keys, len(n.keys)
+        for x in probes:
+            got_ops, want_ops = OpCounters(), OpCounters()
+            got_trace, want_trace = {}, {}
+            got = n.locate(x, got_ops, got_trace)
+            want = oracles.locate(n, x, want_ops, want_trace)
+            assert (got, got_ops.snapshot(), got_trace) == (
+                want, want_ops.snapshot(), want_trace), (keys, n.strategy, x)
+            assert got == (scan_rank(keys, x), x in keys)
+            exits[_exit(n, x, got, got_trace)] += 1
+            if t > 1 and got_trace["count"] == t:
+                exits["pass 1 with no survivor"] += 1
     assert set(exits) == {"t = 1", "member in pass 1", "pass 1 with no survivor",
                           "pass 2 saturated", "pass 2 up", "pass 2 down"}, exits
+
+
+# Charge (word ops plus key compares) minus the operations a counting word
+# runs, per exit of locate.  Words are the query x and every value locate
+# computes from it by a word op: the sketches, the survivor word, the xor
+# values, the fall-off mask and the forced word y.  Control values are
+# compare results and block indices (c), as are t, kc and the loop state;
+# the node word and its masks are constants.  Each gap is charged work
+# that no word op runs:
+#   member: keys[c] == x is charged as the probe and the membership
+#     compare, and one executed compare answers both (+1);
+#   fall-off: 8 charged (xor, floor-lg, shift, bit test; shl, add, sub,
+#     or/and-not); 6 run going up (xor, bit_length, x > s, 1 << n, - 1,
+#     x | m) and 5 going down (xor, bit_length, x > s, >> n, << n): +2, +3;
+#   pass 2: the membership compare is charged whenever the rank is
+#     nonzero and never run, as x is known not stored there (+1).
+# An exact sketch charges 4 per relevant bit and its first shift acts on
+# the constant 0, not on a word: +1 per sketch on exact nodes.
+CHARGE_GAP = {"t = 1": 0, "member in pass 1": 1, "pass 2 saturated": 2 + 1,
+              "pass 2 up": 2 + 1, "pass 2 down": 3 + 1,
+              "pass 2 down to rank 0": 3}
+SKETCHES = {"t = 1": 0, "member in pass 1": 1}  # every other exit runs 2
+
+
+def test_charges_match_executed_word_ops():
+    # locate runs on a counting word: every exit's charge is its executed
+    # count plus a fixed gap, and on multiplicative nodes the executed
+    # count of each branch path is one number for every t and width
+    executed = {}  # multiplicative: branch path -> {count: {(t, width)}}
+    for n, probes in _probed_nodes(random.Random(PIN_SEED + 2), 6):
+        t, exact = len(n.keys), n.scheme.multiplier is None
+        for x in probes:
+            trace = {}
+            answer = n.locate(x, OpCounters(), trace)
+            path = _exit(n, x, answer, trace)
+            if path == "pass 2 down" and not answer[0]:
+                path = "pass 2 down to rank 0"
+            ops, tally = OpCounters(), [0]
+            assert n.locate(oracles.CountingWord(x, tally), ops) == answer
+            ran = tally[0]
+            gap = CHARGE_GAP[path] + exact * SKETCHES.get(path, 2)
+            assert ops.word_ops + ops.key_compares - ran == gap, (n.keys, x, path)
+            if not exact and t > 1:
+                branches = (path, trace["survivors"] != 0,
+                            0 < trace["count"] < t, answer[0] < t)
+                executed.setdefault(branches, {}).setdefault(ran, set()).add((t, n.width))
+    assert {b[0] for b in executed} == set(CHARGE_GAP) - {"t = 1"}
+    for branches, counts in executed.items():
+        assert len(counts) == 1, (branches, counts)
+    shapes = set().union(*(s for c in executed.values() for s in c.values()))
+    assert shapes == {(t, w) for t in range(2, 9) for w in WIDTHS}
 
 
 def test_node_insert_rebuilds():
@@ -406,25 +464,9 @@ PIN_FUSION_SORT = (3466301, 199536, 6, 4336)  # (word_ops, key_compares, height,
 PIN_BTREE_SORT = (0, 315643, 6, 4336)
 
 
-def _pin_nodes():
-    rng = random.Random(PIN_SEED)
-    for width in (8, 16, 32, 64):
-        for t in range(1, 9):
-            for strategy in (EXACT, MULTIPLICATIVE):
-                for _ in range(4):
-                    keys = set()
-                    while len(keys) < t:
-                        keys.add(rng.getrandbits(width))
-                    keys = sorted(keys)
-                    top = (1 << width) - 1
-                    probes = {min(top, max(0, k + d)) for k in keys for d in (-1, 0, 1)}
-                    probes.update(rng.getrandbits(width) for _ in range(8))
-                    yield FusionNode(keys, width=width, cap=8, strategy=strategy), sorted(probes)
-
-
 def test_charges_pinned():
     locate_ops, rank_ops = OpCounters(), OpCounters()
-    for n, probes in _pin_nodes():
+    for n, probes in _probed_nodes(random.Random(PIN_SEED), 4, ends=False):
         for x in probes:
             n.locate(x, locate_ops)
             n.rank(x, rank_ops)

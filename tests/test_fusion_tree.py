@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionsort import bench, sketch
+from fusionsort import bench
 from fusionsort.btree import BTree, btree_sort_with_stats
 from fusionsort.fusion_node import NodeError
 from fusionsort.fusion_tree import FusionTree, fusion_sort, fusion_sort_with_stats
 from fusionsort.trie import CompressedTrie, DuplicateKey
 from fusionsort.wordops import WordError
+
+from oracles import cold
 
 
 def _corrupt_keys(t):
@@ -248,8 +250,7 @@ def test_tree_operations_leave_no_cyclic_garbage():
     # Reference counting alone must free what a sort or a tree operation
     # leaves behind: no self-referencing closure, no search state for the
     # cyclic collector, whose timing would otherwise land inside timed runs.
-    sketch._scheme_cached.cache_clear()
-    sketch._find_multiplier_cached.cache_clear()
+    cold()
     gc.collect()
     gc.disable()
     try:

@@ -23,15 +23,6 @@ def _run_script(name, *args):
     return res.stdout.splitlines()
 
 
-def test_growth_study():
-    lines = _run_script("growth_study.py", "--ns", "100", "1000")
-    assert lines[0].split() == ["algo", "n", "height", "word_ops/n",
-                                "compares/n", "ratio"]
-    rows = [line.split() for line in lines[1:]]
-    assert [(r[0], r[1]) for r in rows] == [
-        ("fusion", "100"), ("btree", "100"), ("fusion", "1000"), ("btree", "1000")]
-
-
 def test_node_anatomy(tmp_path):
     dot = tmp_path / "trie.dot"
     lines = _run_script("node_anatomy.py", "--keys", "223", "224", "225", "254",

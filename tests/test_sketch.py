@@ -16,7 +16,7 @@ from fusionsort.sketch import (
     scheme_from_bits,
 )
 from fusionsort.trie import CompressedTrie
-from oracles import find_multiplier_dfs, order_preserving, sketch_exact, word_mask
+from oracles import cold, find_multiplier_dfs, order_preserving, sketch_exact, word_mask
 
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
 
@@ -287,7 +287,7 @@ def test_search_matches_reference_dfs():
 def test_search_is_keyed_by_gaps():
     # a shifted copy of a bit set is a memo hit with the shift moved along,
     # and so is a shifted copy of a pattern whose search failed
-    _clear_sketch_caches()
+    cold()
     try:
         assert find_multiplier((0, 20, 40), 64, 9) == (274878431233, 38, 3)
         info = sketch._find_multiplier_cached.cache_info()
@@ -300,22 +300,17 @@ def test_search_is_keyed_by_gaps():
         info = sketch._find_multiplier_cached.cache_info()
         assert (info.hits, info.misses) == (after.hits + 1, after.misses + 1)
     finally:
-        _clear_sketch_caches()
-
-
-def _clear_sketch_caches():
-    sketch._scheme_cached.cache_clear()
-    sketch._find_multiplier_cached.cache_clear()
+        cold()
 
 
 def test_search_budget_exhaustion_refuses(monkeypatch):
     bits = (0, 20, 40)  # spread past a 9-bit window: needs the run search
     assert find_multiplier(bits, 64, 9) == (274878431233, 38, 3)
     monkeypatch.setattr(sketch, "_SEARCH_BUDGET", 3)  # one step short
-    _clear_sketch_caches()
+    cold()
     try:
         with pytest.raises(NoValidMultiplier):
             find_multiplier(bits, 64, 9)
         assert scheme_from_bits(bits, 64, MULTIPLICATIVE, 9).fallback
     finally:
-        _clear_sketch_caches()  # drop what the short budget answered
+        cold()  # drop what the short budget answered
