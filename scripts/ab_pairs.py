@@ -21,9 +21,9 @@ mismatch names its row (``MISMATCH read …`` for a read, ``MISMATCH
 search …`` for a search case) and exits 1.  Then
 it times ``--pairs`` alternating pairs of one sort (the B-tree, or the
 fusion tree with its default multiplicative sketch, at cap 7 as
-perfbench runs them) from cold caches (both sketch caches and
-``fusion_node._layout`` empty) and prints each side's median and
-quartiles in µs per key, and how many pairs the change won.
+perfbench runs them) from cold caches (both sketch caches empty) and
+prints each side's median and quartiles in µs per key, and how many
+pairs the change won.
 ``--algo mix`` times the read path instead: each side builds a fusion
 tree over the same ``--n`` keys, and every pair serves one seeded chunk
 of 1000 operations on both warm trees (90 % reads spread over
@@ -160,11 +160,9 @@ def serve(tree, ops) -> list:
 
 
 def cold(pkg) -> None:
-    """Empty the package's sketch caches and its node-layout cache, as a
-    fresh process has them."""
+    """Empty the package's two sketch caches, as a fresh process has them."""
     pkg.sketch._scheme_cached.cache_clear()
     pkg.sketch._find_multiplier_cached.cache_clear()
-    pkg.fusion_node._layout.cache_clear()
 
 
 def search_cases(seed: int) -> list:

@@ -37,8 +37,6 @@ readers would simply compute the same state twice.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .counters import OpCounters
 from .sketch import MULTIPLICATIVE, STRATEGIES, _scheme_cached
 from .trie import DuplicateKey
@@ -57,16 +55,21 @@ class CapacityExceeded(NodeError):
     """More keys than the node capacity allows."""
 
 
-@lru_cache(maxsize=None)
-def _layout(plen: int, t: int) -> tuple:
+def _packing(t: int, plen: int) -> tuple:
     """Packing arithmetic for t blocks of plen payload bits: (t, block,
     payload mask, bit 0 of each block, separator of each block, word
-    bits).  It depends on nothing else and holds no search result, so
-    clearing the sketch caches leaves it nothing to keep."""
+    bits)."""
     block = plen + 1
     word_bits = t * block
     unit = ((1 << word_bits) - 1) // ((1 << block) - 1)
     return t, block, (1 << plen) - 1, unit, unit << plen, word_bits
+
+
+# _LAYOUTS[t][plen] for every node size t and every padded length its
+# scheme may take, 0..MACHINE_WIDTH // t - 1 (the budget _ensure passes);
+# no node holds 0 keys, so row 0 is empty.
+_LAYOUTS = ((),) + tuple(tuple(_packing(t, plen) for plen in range(MACHINE_WIDTH // t))
+                         for t in range(1, CAP_LIMIT + 1))
 
 
 def _view(i: int) -> property:
@@ -113,7 +116,8 @@ class FusionNode:
 
     def _ensure(self) -> tuple:
         """Build and store the node state: (multiplier, mask, shift, sketch
-        charge, node word, scheme) + ``_layout``; one OR sets the separators."""
+        charge, node word, scheme) + its ``_LAYOUTS`` entry; one OR sets the
+        separators."""
         keys = self.keys
         t = len(keys)
         bits = 0  # one bit per branch position: msb(k_i ^ k_i+1)
@@ -123,7 +127,7 @@ class FusionNode:
             prev = k
         scheme = _scheme_cached(bits, self.width, self.strategy,
                                 MACHINE_WIDTH // t - 1)  # payload bits per block
-        layout = _layout(scheme.padded_length, t)
+        layout = _LAYOUTS[t][scheme.padded_length]
         _, block, lenmask, _, top_mask, _ = layout
         mask, mult, shift = scheme.mask, scheme.multiplier, scheme.shift
         word = 0

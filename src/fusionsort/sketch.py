@@ -97,15 +97,19 @@ def _scheme_cached(
     bits = tuple(bits)
     if not bits or strategy == EXACT:
         return SketchScheme(width, bits, mask, EXACT, len(bits))
-    try:
-        mult, shift, plen = find_multiplier(bits, width, max_padded_length)
-    except NoValidMultiplier:
+    r, low = len(bits), bits[-1]
+    lcap = r * r if max_padded_length is None else min(r * r, max_padded_length)
+    # _order_preserving tries all 2**r patterns; nodes have <= 7 bits
+    found = None if r > 16 else _find_multiplier_cached(
+        tuple(b - low for b in reversed(bits)), lcap)
+    if found is None:
         logging = sys.modules.get("logging")  # else no handler can exist
         if logging is not None:
             logging.getLogger(__name__).debug(
                 "multiplicative sketch fallback: bits=%s width=%d cap=%s",
                 bits, width, max_padded_length)
         return SketchScheme(width, bits, mask, EXACT, len(bits), fallback=True)
+    mult, shift, plen = found[0], found[1] + low, found[2]  # the shift moves with the bits
     # the window lies inside the word, so no word mask is needed on the
     # product before the shift (sketch, locate and _ensure apply none)
     assert shift + plen <= width, (bits, mult, shift, plen)
@@ -124,24 +128,17 @@ def find_multiplier(
     at strictly increasing positions of a window of at most r*r bits
     (tighter if max_padded_length says so); every other term of the
     product is placed where it cannot disturb the window, so no carries
-    reach it.  Raises NoValidMultiplier when the bounded search fails;
-    the search, or its failure, is memoized per (gaps, window cap).
+    reach it.  Raises NoValidMultiplier when the bounded search fails.
+    The answer is the multiplicative scheme of these bits, so it is
+    memoized per bit set, and the search, or its failure, per (gaps,
+    window cap).
     """
-    bits = tuple(sorted(set(relevant_bits)))
-    if not bits:
+    scheme = scheme_from_bits(relevant_bits, width, MULTIPLICATIVE, max_padded_length)
+    if not scheme.relevant_bits:
         raise SketchError("at least one relevant bit is required")
-    for b in bits:
-        if not 0 <= b < width:
-            raise SketchError(f"relevant bit {b} outside [0, {width})")
-    r = len(bits)
-    if r > 16:  # _order_preserving tries all 2**r patterns; nodes have <= 7 bits
-        raise NoValidMultiplier(f"{r} relevant bits are too many to verify")
-    lcap = r * r if max_padded_length is None else min(r * r, max_padded_length)
-    low = bits[0]
-    found = _find_multiplier_cached(tuple(b - low for b in bits), lcap)
-    if found is None:
-        raise NoValidMultiplier(f"no constant found for bits {bits} within window {lcap}")
-    return found[0], found[1] + low, found[2]  # the shift moves with the bits
+    if scheme.fallback:
+        raise NoValidMultiplier(f"no verified constant for bits {scheme.relevant_bits}")
+    return scheme.multiplier, scheme.shift, scheme.padded_length
 
 
 @lru_cache(maxsize=65536)
@@ -210,7 +207,7 @@ def _place(gaps, lcap, i, next_off, sigmas, below, budget):
 def _order_preserving(bits_asc, width, mult, shift, plen) -> bool:
     """Exhaustive check: padded images of all relevant-bit patterns are
     strictly increasing in the exact-sketch order."""
-    assert len(bits_asc) <= 16, "find_multiplier refuses unverifiable bit counts"
+    assert len(bits_asc) <= 16, "_scheme_cached refuses unverifiable bit counts"
     ys = [0]  # ys[p] sets bits_asc[k] where pattern p has bit k
     for b in bits_asc:
         bit = 1 << b

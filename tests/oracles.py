@@ -23,7 +23,7 @@ And the one cold start: every cache a fresh process starts without.
 import random
 from bisect import insort
 
-from fusionsort import fusion_node, sketch
+from fusionsort import sketch
 from fusionsort.sketch import _SEARCH_BUDGET, NoValidMultiplier, _order_preserving
 from fusionsort.trie import DuplicateKey, _Branch, _Leaf
 from fusionsort.wordops import WIDTHS, WordError, _check_width, check_word
@@ -432,11 +432,10 @@ for _name in ("__floordiv__", "__rfloordiv__", "__lt__", "__le__", "__gt__",
 
 
 def cold() -> None:
-    """Empty both sketch caches and the node-layout cache, as a fresh
+    """Empty both sketch caches, the package's only caches, as a fresh
     process has them."""
     sketch._scheme_cached.cache_clear()
     sketch._find_multiplier_cached.cache_clear()
-    fusion_node._layout.cache_clear()
 
 
 def find_multiplier_dfs(bits: tuple[int, ...], width: int, lcap: int):

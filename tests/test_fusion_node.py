@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from fusionsort.btree import BTree, btree_sort_with_stats
 from fusionsort.counters import OpCounters
-from fusionsort.fusion_node import CapacityExceeded, FusionNode, NodeError
+from fusionsort.fusion_node import _LAYOUTS, CapacityExceeded, FusionNode, NodeError
 from fusionsort.fusion_tree import FusionTree, fusion_sort_with_stats
 from fusionsort.sketch import EXACT, MULTIPLICATIVE
 from fusionsort.trie import CompressedTrie, DuplicateKey
@@ -125,6 +125,15 @@ def test_block_masks_match_oracles():
                 block = n.block_size
                 assert n._unit == block_low_bits_mask(block, t, 64)
                 assert n._top_mask == block_leading_bits_mask(block, t, 64)
+    # and all 172 entries of the packing table: one row per node size t,
+    # one entry per padded length 0..64 // t - 1
+    assert [len(row) for row in _LAYOUTS] == [0] + [64 // t for t in range(1, 9)]
+    for t, row in enumerate(_LAYOUTS):
+        for plen, (t_, block, lenmask, unit, top_mask, word_bits) in enumerate(row):
+            assert (t_, block, lenmask) == (t, plen + 1, (1 << plen) - 1)
+            assert unit == block_low_bits_mask(plen + 1, t, 64)
+            assert top_mask == block_leading_bits_mask(plen + 1, t, 64)
+            assert word_bits == t * (plen + 1) <= 64
 
 
 def test_pass1_golden_chain():

@@ -8,13 +8,17 @@ The signed cases map their values to unsigned words through the
 order-preserving offset 2**(width-1) before sorting.
 """
 
+import importlib
+import pkgutil
 import random
 
 import pytest
 
+import fusionsort
 from fusionsort import sketch
 from fusionsort.btree import BTree, btree_sort_with_stats
 from fusionsort.fusion_tree import FusionTree, fusion_sort, fusion_sort_with_stats
+from oracles import cold
 
 
 def _dense8(rng):
@@ -74,13 +78,24 @@ def test_sorter_matches_oracle(sorter, tree_cls, make, width, signed, feed):
 
 def test_cold_caches_stay_cold():
     # Clearing the two sketch caches must drop every multiplier search a
-    # sort made: no other cache (the node layout cache included) keeps one.
+    # sort made: no other cache keeps one.
     rng = random.Random(7)
     data = [rng.getrandbits(64) for _ in range(2000)]
     misses = []
     for _ in range(2):
-        sketch._scheme_cached.cache_clear()
-        sketch._find_multiplier_cached.cache_clear()
+        cold()
         assert fusion_sort(data) == sorted(data)
         misses.append(sketch._find_multiplier_cached.cache_info().misses)
     assert misses[0] == misses[1] > 0
+
+
+def test_sketch_caches_are_the_only_caches():
+    # A cold start clears the two sketch caches and nothing else, so every
+    # other piece of the package's state must be fixed at import.
+    caches = {}
+    for mod in pkgutil.iter_modules(fusionsort.__path__, "fusionsort."):
+        for name, obj in vars(importlib.import_module(mod.name)).items():
+            if hasattr(obj, "cache_clear"):
+                caches[id(obj)] = f"{mod.name}.{name}"
+    assert set(caches) == {id(sketch._scheme_cached),
+                           id(sketch._find_multiplier_cached)}, caches
