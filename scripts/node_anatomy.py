@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Inspect the packed anatomy of a single node for a given key set.
 
-Prints the debug dump (keys, relevant bits, sketches, packed word), the
-compressed trie as DOT if asked, and traces one query through the
-node's rank path, printing pass 1's subtract/mask/floor-lg values.
+Prints the debug dump (keys, relevant bits, sketch form, sketches, packed
+word), the compressed trie as DOT if asked, and traces one query through
+the node's rank path, printing pass 1's subtract/mask/floor-lg values and
+the word ops the whole visit charges.
 
     python3 scripts/node_anatomy.py --keys 223 224 225 254 --width 16 --query 231
 """
@@ -31,7 +32,8 @@ def main() -> int:
     if args.query is not None:
         x = args.query
         trace: dict = {}
-        rank, _ = node.locate(x, OpCounters(), trace)
+        ops = OpCounters()
+        rank, _ = node.locate(x, ops, trace)
         wq = trace["sketch"] * node._unit
         print(f"\nquery {x} (sketch {trace['sketch']}):")
         print(f"  query word     = {wq}")
@@ -40,6 +42,7 @@ def main() -> int:
         print(f"  sketches below = {trace['count']}")
         print(f"  shares prefix  = {trace['selected']}")
         print(f"  rank           = {rank}")
+        print(f"  word ops       = {ops.word_ops}")
     if args.dot:
         with open(args.dot, "w") as fh:
             fh.write(CompressedTrie(sorted(args.keys), width=args.width).to_dot())

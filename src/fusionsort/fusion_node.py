@@ -23,6 +23,12 @@ the count, the selected key and the word ops charged so far (the
 ``SketchScheme.sketch`` is the one per-bit (exact) evaluator, which exact
 nodes call; the multiplicative formula, run by nearly every visit, is
 inlined in ``_ensure`` and both passes, where a method call costs most.
+The passes have two forms of it.  A scheme with multiplier 1 (its bits
+already fit the window) sketches as ``(x & mask) >> shift``, charged 2
+word ops, since the identity multiply and the window mask change
+nothing; any other multiplier runs and is charged all four (and, mul,
+shr, and).  ``_ensure`` packs with the four-op form alone: it gives the
+same bits, and a rebuild is not charged.
 
 The packed word may be wider than the key word (t blocks of
 padded-length+1 bits each); it always fits the 64-bit machine word,
@@ -117,7 +123,9 @@ class FusionNode:
     def _ensure(self) -> tuple:
         """Build and store the node state: (multiplier, mask, shift, sketch
         charge, node word, scheme) + its ``_LAYOUTS`` entry; one OR sets the
-        separators."""
+        separators.  The sketch charge is what one sketch costs a visit: 2
+        word ops on a single-shift scheme, 4 on a multiplied one and 4 per
+        relevant bit on an exact one."""
         keys = self.keys
         t = len(keys)
         bits = 0  # one bit per branch position: msb(k_i ^ k_i+1)
@@ -134,7 +142,8 @@ class FusionNode:
         if mult is not None:
             for k in keys:
                 word = (word << block) | ((((k & mask) * mult) >> shift) & lenmask)
-            sk_ops = 4  # and, mul, shr, and
+            # a visit runs and, shr on a single shift, else and, mul, shr, and
+            sk_ops = 2 if mult == 1 else 4
         else:
             for sk in map(scheme.sketch, keys):
                 word = (word << block) | sk
@@ -197,7 +206,9 @@ class FusionNode:
         # pass 1: sketch x, then replicate, subtract, mask and zero test
         # (4 ops); floor-lg, bit offset and block divide (3 more) if any
         # separator survives
-        if mult is not None:
+        if mult == 1:
+            q = (x & sk_mask) >> sk_shift
+        elif mult is not None:
             q = (((x & sk_mask) * mult) >> sk_shift) & lenmask
         else:
             q = scheme.sketch(x)
@@ -236,7 +247,9 @@ class FusionNode:
         y = x | ((1 << n) - 1) if up else x >> n << n
         # pass 2: sketch y; going up, a saturation test (1 op) and q + 1
         # (1 more) to count the blocks <= sk(y)
-        if mult is not None:
+        if mult == 1:
+            q = (y & sk_mask) >> sk_shift
+        elif mult is not None:
             q = (((y & sk_mask) * mult) >> sk_shift) & lenmask
         else:
             q = scheme.sketch(y)
@@ -284,10 +297,13 @@ class FusionNode:
             "relevant bits: " + (" ".join(f"b{p}" for p in sch.relevant_bits) or "(none)"),
         ]
         if sch.strategy == MULTIPLICATIVE:
-            lines.append(
+            form, charge = (("single shift: and, shr", 2) if sch.multiplier == 1
+                            else ("and, mul, shr, and", 4))
+            lines += [
                 f"mask 0x{sch.mask:x}, multiplier 0x{sch.multiplier:x}, "
-                f"shift {sch.shift}, padded length {plen}"
-            )
+                f"shift {sch.shift}, padded length {plen}",
+                f"sketch form: {form} ({charge} word ops per sketch)",
+            ]
         else:
             lines.append(f"mask 0x{sch.mask:x}, per-bit extraction")
         sks = self.sketches()

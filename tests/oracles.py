@@ -335,12 +335,16 @@ def locate(node, x: int, ops, trace: dict | None = None):
     mult, sk_bits = scheme.multiplier, scheme.relevant_bits
     sk_mask, sk_shift = scheme.mask, scheme.shift
     lenmask = (1 << scheme.padded_length) - 1
-    sk_ops = 4 if mult is not None else 4 * len(sk_bits)  # per-visit sketch charge
+    # per-visit sketch charge: multiplier 1 leaves the masked bits in the
+    # window, so only the mask and the shift run (and, shr)
+    sk_ops = 2 if mult == 1 else 4 if mult is not None else 4 * len(sk_bits)
     y = x
     up = None  # pass 1; pass 2 sets it to x's bit at the fall-off point
     w = kc = 0
     while True:
-        if mult is not None:
+        if mult == 1:
+            q = (y & sk_mask) >> sk_shift
+        elif mult is not None:
             q = (((y & sk_mask) * mult) >> sk_shift) & lenmask
         else:
             q = 0

@@ -373,8 +373,9 @@ SKETCHES = {"t = 1": 0, "member in pass 1": 1}  # every other exit runs 2
 def test_charges_match_executed_word_ops():
     # locate runs on a counting word: every exit's charge is its executed
     # count plus a fixed gap, and on multiplicative nodes the executed
-    # count of each branch path is one number for every t and width
-    executed = {}  # multiplicative: branch path -> {count: {(t, width)}}
+    # count of each branch path and sketch form (single shift or
+    # multiplied: two code paths) is one number for every t and width
+    executed = {}  # multiplicative: (path, form, ...) -> {count: {(t, width)}}
     for n, probes in _probed_nodes(random.Random(PIN_SEED + 2), 6):
         t, exact = len(n.keys), n.scheme.multiplier is None
         for x in probes:
@@ -389,10 +390,11 @@ def test_charges_match_executed_word_ops():
             gap = CHARGE_GAP[path] + exact * SKETCHES.get(path, 2)
             assert ops.word_ops + ops.key_compares - ran == gap, (n.keys, x, path)
             if not exact and t > 1:
-                branches = (path, trace["survivors"] != 0,
+                branches = (path, n.scheme.multiplier == 1, trace["survivors"] != 0,
                             0 < trace["count"] < t, answer[0] < t)
                 executed.setdefault(branches, {}).setdefault(ran, set()).add((t, n.width))
     assert {b[0] for b in executed} == set(CHARGE_GAP) - {"t = 1"}
+    assert {b[1] for b in executed} == {True, False}  # both sketch forms ran
     for branches, counts in executed.items():
         assert len(counts) == 1, (branches, counts)
     shapes = set().union(*(s for c in executed.values() for s in c.values()))
@@ -460,6 +462,14 @@ def test_dump_mentions_structure():
     assert "48350" in text
     assert "block size 4" in text
     assert "1 011 1 100 1 101 1 110" in text
+    assert "sketch form" not in text  # exact: per-bit extraction
+    # a multiplicative node names its sketch form and per-sketch charge
+    single = golden_node(MULTIPLICATIVE)
+    assert single.scheme.multiplier == 1
+    assert "sketch form: single shift: and, shr (2 word ops per sketch)" in single.dump()
+    spread = FusionNode([0, 1 << 40, (1 << 40) | 1], width=64)
+    assert spread.scheme.multiplier not in (None, 1)
+    assert "sketch form: and, mul, shr, and (4 word ops per sketch)" in spread.dump()
 
 
 # -- charge pinning ------------------------------------------------------------
@@ -467,9 +477,9 @@ def test_dump_mentions_structure():
 # one body; any change to what locate() or rank() charges moves them.
 
 PIN_SEED = 20261018
-PIN_LOCATE = (192291, 10030)  # (word_ops, key_compares)
-PIN_RANK = (192291, 5304)
-PIN_FUSION_SORT = (3466301, 199536, 6, 4336)  # (word_ops, key_compares, height, splits)
+PIN_LOCATE = (183747, 10030)  # (word_ops, key_compares)
+PIN_RANK = (183747, 5304)
+PIN_FUSION_SORT = (3051285, 199536, 6, 4336)  # (word_ops, key_compares, height, splits)
 PIN_BTREE_SORT = (0, 315643, 6, 4336)
 
 
@@ -495,9 +505,9 @@ def test_charges_pinned():
 # recorded from the tree code before its four reads were folded into one
 # descent; any change to what a tree-level read charges moves them.
 PIN_READS = {
-    "fusion-multiplicative": {"search": (29241, 1659), "rank": (30745, 1659),
-                              "predecessor": (29241, 1659),
-                              "successor": (29241, 1659)},
+    "fusion-multiplicative": {"search": (25677, 1659), "rank": (27181, 1659),
+                              "predecessor": (25677, 1659),
+                              "successor": (25677, 1659)},
     "fusion-exact": {"search": (43008, 1659), "rank": (44512, 1659),
                      "predecessor": (43008, 1659), "successor": (43008, 1659)},
     "btree": {"search": (0, 2809), "rank": (1504, 2809),

@@ -6,6 +6,9 @@ import sys
 from bisect import bisect_right
 from pathlib import Path
 
+from fusionsort.counters import OpCounters
+from fusionsort.fusion_node import FusionNode
+from fusionsort.sketch import MULTIPLICATIVE
 from fusionsort.trie import CompressedTrie
 
 from oracles import trs
@@ -47,6 +50,10 @@ def test_node_anatomy_multiplicative_64bit():
     assert selected in keys
     want = trs(CompressedTrie(keys, width=64), x)
     assert (x ^ selected).bit_length() == (x ^ want).bit_length()
+    node = FusionNode(keys, width=64, cap=8, strategy=MULTIPLICATIVE)
+    ops = OpCounters()
+    node.locate(x, ops)
+    assert int(fields["word ops"]) == ops.word_ops
 
 
 def test_ab_pairs_same_tree():

@@ -208,7 +208,9 @@ def node_bit_sets(draw):
 @settings(max_examples=300)
 def test_window_inside_word(case, words):
     # shift + padded_length <= width, so masking the product to the word
-    # before the shift (as SketchScheme.sketch does) changes no sketch bit
+    # before the shift (as SketchScheme.sketch does) changes no sketch bit;
+    # with multiplier 1 the masked bits already fit the window, so nodes
+    # sketch as (x & mask) >> shift, skipping the multiply and window mask
     bits, budget, one_shift = case
     s = scheme_from_bits(bits, 64, MULTIPLICATIVE, budget)
     if one_shift:
@@ -216,11 +218,15 @@ def test_window_inside_word(case, words):
     if s.strategy != MULTIPLICATIVE:
         return
     assert s.shift + s.padded_length <= 64
+    if s.multiplier == 1:
+        assert s.mask >> s.shift < 1 << s.padded_length
     lenm = (1 << s.padded_length) - 1
     for x in words:
         prod = (x & s.mask) * s.multiplier
         assert (prod >> s.shift) & lenm == ((prod & word_mask(64)) >> s.shift) & lenm
         assert (prod >> s.shift) & lenm == s.sketch(x)
+        if s.multiplier == 1:
+            assert (x & s.mask) >> s.shift == s.sketch(x)
 
 
 def test_order_check_matches_oracle_and_rejects_corruption():
