@@ -18,19 +18,25 @@ same constant, or both none, on a fixed case set: every bit set of an
 8-bit word at every window cap 1..r*r+1, de-duplicated by gaps, and
 seeded node-shaped 64-bit sets at the cap their node asks for.  Any
 mismatch names its row (``MISMATCH read …`` for a read, ``MISMATCH
-search …`` for a search case) and exits 1.  Then
-it times ``--pairs`` alternating pairs of one sort (the B-tree, or the
-fusion tree with its default multiplicative sketch, at cap 7 as
-perfbench runs them) from cold caches (both sketch caches empty) and
-prints each side's median and quartiles in µs per key, and how many
-pairs the change won.
+search …`` for a search case); a read row says how many answers differ
+and, per counter, how many reads the change charges lower, equal and
+higher, and a closing tally says the same over every sort row and every
+read.  If anything but word ops differs, the script stops there and
+exits 1.  A change that moves word ops alone (a deliberate charge
+change) goes on to the timing and exits 1 at the end.  Then it times
+``--pairs`` alternating pairs of one sort (the B-tree, or the fusion
+tree with its default multiplicative sketch, at cap 7 as perfbench runs
+them) from cold caches (both sketch caches empty) and prints each
+side's median and quartiles in µs per key, and how many pairs the
+change won.
 ``--algo mix`` times the read path instead: each side builds a fusion
 tree over the same ``--n`` keys, and every pair serves one seeded chunk
 of 1000 operations on both warm trees (90 % reads spread over
 ``search``, ``rank``, ``predecessor`` and ``successor``, half of them
 on stored keys, and 10 % fresh inserts); both sides must give the same
-answers and charges after every chunk, and the summary is in µs per
-operation.  Last it times ``--pairs`` alternating pairs of a
+answers and key compares after every chunk (word ops may differ only
+after the check allowed it, and are tallied per chunk), and the summary
+is in µs per operation.  Last it times ``--pairs`` alternating pairs of a
 fresh-interpreter ``import fusionsort.bench`` from each ``src/`` and
 prints the same summary in ms.
 
@@ -198,21 +204,41 @@ def check_search(base, change, seed: int) -> tuple[int, int]:
     return len(cases), bad
 
 
-def check(base, change, seed: int) -> int:
+def tally(pairs) -> str:
+    """How many of the (base, change) pairs the change has lower, equal
+    and higher."""
+    pairs = list(pairs)
+    lower = sum(b < a for a, b in pairs)
+    higher = sum(b > a for a, b in pairs)
+    return f"{lower} lower, {len(pairs) - lower - higher} equal, {higher} higher"
+
+
+def tallies(names, pairs) -> str:
+    """``tally`` per counter: pairs holds (base, change) counter tuples,
+    and counter i is tallied over the tuples that have one."""
+    return "; ".join(f"{name} {tally((a[i], b[i]) for a, b in pairs if len(a) > i)}"
+                     for i, name in enumerate(names))
+
+
+def check(base, change, seed: int) -> tuple[int, int]:
+    """(mismatches, mismatches other than word ops alone): every sort row,
+    read row and search case of both sides compared."""
     algos = (("fusion", "multiplicative"), ("fusion", "exact"), ("btree", ""),
              ("mergesort", ""))
-    rows = bad = 0
+    rows = bad = other = 0
+    counts, charges = [], []  # (base, change) of every sort row and every read
     for dist in base.bench.DISTS:
         for width, cap in SHAPES:
             n = min(CHECK_N, 1 << width)
             data = base.bench.generate(dist, n, seed, width)
-            other = change.bench.generate(dist, n, seed, width)
-            if other != data:
+            drawn = change.bench.generate(dist, n, seed, width)
+            if drawn != data:
                 bad += 1
-                at = next((i for i, (a, b) in enumerate(zip(data, other))
-                           if a != b), min(len(data), len(other)))
+                other += 1
+                at = next((i for i, (a, b) in enumerate(zip(data, drawn))
+                           if a != b), min(len(data), len(drawn)))
                 print(f"MISMATCH generate dist={dist} width={width} n={n}: "
-                      f"base {len(data)} keys, change {len(other)}, "
+                      f"base {len(data)} keys, change {len(drawn)}, "
                       f"first difference at index {at}")
             xs = probes(data, width, seed)
             for algo, strategy in algos:
@@ -220,27 +246,40 @@ def check(base, change, seed: int) -> int:
                 *b, tree_b = sort(change, algo, data, width, cap, strategy)
                 rows += 1
                 name = f"{algo}-{strategy}" if strategy else algo
+                where = f"{name} dist={dist} width={width} cap={cap}"
+                counts.append((a[1], b[1]))
                 if a != b:
                     bad += 1
-                    print(f"MISMATCH {name} dist={dist} width={width} cap={cap}: "
-                          f"base {a[1]}, change {b[1]}, outputs "
+                    other += a[0] != b[0] or a[1][1:] != b[1][1:]
+                    print(f"MISMATCH {where}: base {a[1]}, change {b[1]}, outputs "
                           f"{'equal' if a[0] == b[0] else 'differ'}")
                 if tree_a is None:  # mergesort: no tree to read
                     continue
                 ra, rb = reads(tree_a, xs), reads(tree_b, xs)
+                pairs = [(p[2:], q[2:]) for p, q in zip(ra, rb)]
+                charges += pairs
                 if ra != rb:
                     bad += 1
-                    diff = [(p, q) for p, q in zip(ra, rb) if p != q]
-                    (op, x, *got_a), (_, _, *got_b) = diff[0]
-                    print(f"MISMATCH read {name} dist={dist} width={width} cap={cap}: "
-                          f"{len(diff)} of {len(ra)} reads differ, first {op}({x}): "
-                          f"base (answer, word_ops, key_compares) {tuple(got_a)}, "
-                          f"change {tuple(got_b)}")
+                    answers = sum(p[0] != q[0] for p, q in pairs)
+                    other += answers > 0 or any(p[2] != q[2] for p, q in pairs)
+                    print(f"MISMATCH read {where}: {sum(p != q for p, q in pairs)} "
+                          f"of {len(ra)} reads differ; answers {answers} differ; "
+                          + tallies(("word_ops", "key_compares"),
+                                    [(p[1:], q[1:]) for p, q in pairs]))
     searches, wrong = check_search(base, change, seed)
     bad += wrong
+    other += wrong
     print(f"checked {rows} rows and {searches} search cases (n <= {CHECK_N}, "
           f"seed {seed}): {'all identical' if not bad else f'{bad} mismatched'}")
-    return bad
+    if bad:
+        print("sort rows, change against base: "
+              + tallies(("word_ops", "key_compares", "height", "splits"), counts))
+        print(f"reads, change against base: answers "
+              f"{sum(p[0] != q[0] for p, q in charges)} differ; "
+              + tallies(("word_ops", "key_compares"), [(p[1:], q[1:]) for p, q in charges]))
+        print("only word_ops differ: timing anyway, exit status 1" if not other
+              else "more than word_ops differ: stopping before timing")
+    return bad, other
 
 
 def quartiles(xs) -> str:
@@ -268,7 +307,7 @@ def summary(what: str, unit: str, xs: dict, pairs: int) -> None:
 
 def sort_pairs(base, change, args):
     """Alternating timed sorts from cold caches: (label, unit,
-    {side: µs per key}), or None if a side's output is wrong."""
+    {side: µs per key}, False), or None if a side's output is wrong."""
     data = base.bench.generate(args.dist, args.n, args.seed, args.width)
     expected = sorted(data)
     us = {"base": [], "change": []}
@@ -287,13 +326,14 @@ def sort_pairs(base, change, args):
         print(f"pair {p + 1}: base {us['base'][-1]:.3f}, "
               f"change {us['change'][-1]:.3f} us/key")
     return (f"{args.algo} {args.dist} n={args.n} width={args.width} cap={CAP}",
-            "us/key", us)
+            "us/key", us, False)
 
 
 def mix_pairs(base, change, args):
     """Alternating timed chunks of one read/insert mix on warm fusion
-    trees: (label, unit, {side: µs per op}), or None if the sides'
-    answers or charges differ after a chunk."""
+    trees: (label, unit, {side: µs per op}, whether any chunk's word ops
+    differed), or None if the sides' answers or key compares differ
+    after a chunk."""
     data = base.bench.generate(args.dist, args.n, args.seed, args.width)
     trees = {}
     for side, pkg in (("base", base), ("change", change)):
@@ -305,27 +345,33 @@ def mix_pairs(base, change, args):
     known = set(present)
     rng = random.Random(f"mix:{args.seed}")
     us = {"base": [], "change": []}
+    word_ops = []  # (base, change) word ops of every chunk
     for p in range(args.pairs):
         ops = mix_ops(rng, present, known, args.width)
         got = {}
         for side in (("base", "change") if p % 2 == 0 else ("change", "base")):
             tree = trees[side]
+            before = tree.counters.word_ops
             gc.collect()
             t0 = time.perf_counter_ns()
             answers = serve(tree, ops)
             dt = time.perf_counter_ns() - t0
-            got[side] = answers, tree.counters.snapshot()
+            got[side] = answers, tree.counters.snapshot(), tree.counters.word_ops - before
             us[side].append(dt / 1e3 / len(ops))
-        (a, charged_a), (b, charged_b) = got["base"], got["change"]
-        if (a, charged_a) != (b, charged_b):
+        (a, charged_a, w_a), (b, charged_b, w_b) = got["base"], got["change"]
+        word_ops.append((w_a, w_b))
+        if (a, charged_a[1]) != (b, charged_b[1]):
             print(f"MISMATCH mix chunk {p + 1}: answers "
                   f"{'equal' if a == b else 'differ'}, charges (word_ops, "
                   f"key_compares) base {charged_a}, change {charged_b}")
             return None
         print(f"pair {p + 1}: base {us['base'][-1]:.3f}, "
               f"change {us['change'][-1]:.3f} us/op")
+    moved = any(a != b for a, b in word_ops)
+    if moved:
+        print(f"mix chunks, change against base: word_ops {tally(word_ops)}")
     return (f"mix {args.dist} n={args.n} width={args.width} cap={CAP}, "
-            f"{MIX_CHUNK}-op chunks", "us/op", us)
+            f"{MIX_CHUNK}-op chunks", "us/op", us, moved)
 
 
 class OpcodeCount:
@@ -419,12 +465,14 @@ def main() -> int:
     args = ap.parse_args()
 
     base, change = load(args.base, "ab_base"), load(args.change, "ab_change")
-    if check(base, change, args.seed):
+    bad, other = check(base, change, args.seed)
+    if other:
         return 1
 
     timed = (mix_pairs if args.algo == "mix" else sort_pairs)(base, change, args)
     if timed is None:
         return 1
+    *timed, moved = timed
     summary(*timed, args.pairs)
 
     ms = {"base": [], "change": []}
@@ -435,7 +483,7 @@ def main() -> int:
     summary("fresh-interpreter import fusionsort.bench", "ms", ms, args.pairs)
     if args.opcodes:
         opcode_counts(base, change, args.opcodes, args.seed)
-    return 0
+    return 1 if bad or moved else 0
 
 
 if __name__ == "__main__":

@@ -12,14 +12,24 @@ taking floor(lg) of the survivor word therefore counts the node sketches
 below sk(x) in a number of word operations that does not depend on t.
 
 That count is one pass of the node's only search, ``locate``, which
-runs two passes straight through.  Pass 1 counts the sketches below
-sk(x) and picks the stored key sharing x's longest bit prefix; unless
-that key is x, x's bits below the fall-off point are forced to ones or
-zeros and pass 2 sketches and counts that word once, which gives the
-exact rank.  ``rank`` wraps it, and a caller that wants to see pass 1
-passes a ``trace`` dict, which receives the sketch, the survivor word,
-the count, the selected key and the word ops charged so far (the
-``--demo`` walkthrough and ``scripts/node_anatomy.py`` read it).
+runs at most two passes straight through.  Pass 1 counts the sketches
+below sk(x) and picks the stored key s sharing x's longest bit prefix.
+Unless s is x, the keys that agree with x above the fall-off bit
+p = msb(x ^ s) form one run around s, and x lies beyond that run's lower
+edge (x < s) or its upper edge (x > s): a key of the run with x's bit at
+p would share a longer prefix with x than s does, and every key outside
+it compares with x as it compares with s.  When s's neighbour on x's
+side branches from s above p, s itself is that edge and the rank is
+known: the neighbour exit, charged 4 word ops (xor, direction test,
+neighbour xor and its compare), with a missing neighbour standing for
+one that branches higher.  It reads no sketch, so exact nodes take it
+too; in a uniform sort it ends about 90 % of the visits to nodes of two
+or more keys.  Otherwise x's bits below p are forced to ones or zeros
+and pass 2 sketches and counts that word once, which gives the exact
+rank.  ``rank`` wraps it, and a caller that wants to see pass 1 passes
+a ``trace`` dict, which receives the sketch, the survivor word, the
+count, the selected key and the word ops charged so far (the ``--demo``
+walkthrough and ``scripts/node_anatomy.py`` read it).
 ``SketchScheme.sketch`` is the one per-bit (exact) evaluator, which exact
 nodes call; the multiplicative formula, run by nearly every visit, is
 inlined in ``_ensure`` and both passes, where a method call costs most.
@@ -172,19 +182,26 @@ class FusionNode:
     def locate(self, x: int, ops: OpCounters, trace: dict | None = None):
         """(number of stored keys <= x, whether x is stored here).
 
-        Two straight-line passes, each one sketch and one survivor count.
-        Pass 1 sketches x, subtracts the replicated query 0 sk(x) from
-        the node word and counts the separators that borrowed: c keys
-        sketch below x.  The key x shares its longest bit prefix with is
-        keys[c] or keys[c - 1] (whichever differs from x lower down); if
-        keys[c] is x itself, x is stored here.  Otherwise the most
-        significant bit where x and that key s differ marks where x
-        falls off the keys' trie: x > s exactly when x has a 1 there.
-        Pass 2 sketches x with the bits from there down forced to ones
-        (x > s), and counts the blocks up to and including that sketch,
-        unless it is all ones and no block can exceed it; or forced to
-        zeros, and counts the blocks below it.  Each exit adds its
-        word-op charge to ``ops`` once.
+        At most two straight-line passes, each one sketch and one
+        survivor count.  Pass 1 sketches x, subtracts the replicated
+        query 0 sk(x) from the node word and counts the separators that
+        borrowed: c keys sketch below x.  The key x shares its longest
+        bit prefix with is s = keys[j], j = c or c - 1 (whichever differs
+        from x lower down; t - 1 if c == t); if keys[c] is x itself, x is
+        stored here.  Otherwise the most significant bit p where x and s
+        differ marks where x falls off the keys' trie: x > s exactly when
+        x has a 1 there.  The keys sharing x's prefix above p are a run
+        around s, each with s's bit at p, so x ranks at the run's lower
+        edge going down and past its upper edge going up.  Neighbour
+        exit: if j is 0 or keys[j - 1] ^ s > x ^ s (down), or j is
+        t - 1 or keys[j + 1] ^ s > x ^ s (up), that edge is s and the
+        rank is j or j + 1, for 4 word ops (xor, direction test,
+        neighbour xor and its compare).  Else pass 2 sketches x with the
+        bits from p down forced to ones (x > s), and counts the blocks up
+        to and including that sketch, unless it is all ones and no block
+        can exceed it; or forced to zeros, and counts the blocks below
+        it; the fall-off block costs 8 word ops on top of the neighbour
+        test's 2.  Each exit adds its word-op charge to ``ops`` once.
 
         A ``trace`` dict, if given, receives pass 1's values: ``sketch``,
         ``survivors`` (the masked difference word), ``count`` (c),
@@ -223,9 +240,10 @@ class FusionNode:
             trace.update(sketch=q, survivors=survivors, count=c, selected=x,
                          word_ops=w)
         if c == t:
-            s = keys[t - 1]
+            j = t - 1
             kc = 0
         else:
+            j = c
             s = keys[c]
             if s == x:
                 ops.word_ops += w
@@ -234,16 +252,30 @@ class FusionNode:
             kc = 1
             if c:
                 w += 3  # two xors and their comparison
-                lo = keys[c - 1]
                 # comparing the xor values compares the differing-bit positions
-                if (x ^ lo) < (x ^ s):
-                    s = lo
+                if (x ^ keys[c - 1]) < (x ^ s):
+                    j = c - 1
+        s = keys[j]
         if trace is not None:
             trace["selected"] = s
-        # xor, floor-lg, shift, bit test; shl, add, sub, or/and-not: 8 ops
-        # (clearing bits n-1..0 is done here as a shift pair, same word)
-        n = (x ^ s).bit_length()
+        # neighbour exit (see above): xor, direction test, neighbour xor
+        # and its compare, 4 ops; a missing neighbour is charged the same
+        d = x ^ s
         up = x > s
+        if up:
+            if j == t - 1 or (keys[j + 1] ^ s) > d:
+                ops.word_ops += w + 4
+                ops.key_compares += kc + 1  # ... plus the membership compare
+                return j + 1, False
+        elif not j or (keys[j - 1] ^ s) > d:
+            ops.word_ops += w + 4
+            ops.key_compares += kc + 1 if j else kc  # ... plus the membership compare
+            return j, False
+        # the fall-off block: xor, floor-lg, shift, bit test; shl, add,
+        # sub, or/and-not (8 ops, the xor and direction test above among
+        # them), plus the neighbour test's 2: 10 ops (clearing bits
+        # n-1..0 is done here as a shift pair, same word)
+        n = d.bit_length()
         y = x | ((1 << n) - 1) if up else x >> n << n
         # pass 2: sketch y; going up, a saturation test (1 op) and q + 1
         # (1 more) to count the blocks <= sk(y)
@@ -255,7 +287,7 @@ class FusionNode:
             q = scheme.sketch(y)
         if up:
             if q == lenmask:  # no block sketch exceeds an all-ones window
-                ops.word_ops += w + 8 + sk_ops + 1
+                ops.word_ops += w + 10 + sk_ops + 1
                 ops.key_compares += kc + 1  # ... plus the membership compare
                 return t, False
             q += 1
@@ -263,10 +295,10 @@ class FusionNode:
         survivors = (node_word - q * unit) & top_mask
         if survivors:
             c = (word_bits - survivors.bit_length()) // block
-            ops.word_ops += w + 8 + sk_ops + 7
+            ops.word_ops += w + 10 + sk_ops + 7
         else:
             c = t
-            ops.word_ops += w + 8 + sk_ops + 4
+            ops.word_ops += w + 10 + sk_ops + 4
         ops.key_compares += kc + 1 if c else kc  # ... plus the membership compare
         return c, False
 

@@ -315,8 +315,9 @@ def read_key_file(data: bytes, width: int = 64):
 
 
 def locate(node, x: int, ops, trace: dict | None = None):
-    """Reference for ``FusionNode.locate``: the same two passes as one
-    loop, sketch and count written once and charged by running sums.
+    """Reference for ``FusionNode.locate``: the same two passes and
+    neighbour exit as one loop, sketch and count written once and charged
+    by running sums; the exit compares bit positions, not xor values.
     Must agree with it on the answer, both charges and every trace field."""
     keys = node.keys
     t = len(keys)
@@ -372,28 +373,34 @@ def locate(node, x: int, ops, trace: dict | None = None):
         if trace is not None:  # selected stays x if x is stored here
             trace.update(sketch=q, survivors=survivors, count=c, selected=x,
                          word_ops=w)
-        if c == t:
-            s = keys[t - 1]
-        else:
-            s = keys[c]
+        j = min(c, t - 1)
+        if c < t:
             kc = 1
-            if s == x:
+            if keys[c] == x:
                 ops.word_ops += w
                 ops.key_compares += 2  # keys[c] == x, then the membership compare
                 return c + 1, True
             if c:
                 w += 3  # two xors and their comparison
-                lo = keys[c - 1]
                 # comparing the xor values compares the differing-bit positions
-                if (x ^ lo) < (x ^ s):
-                    s = lo
+                if (x ^ keys[c - 1]) < (x ^ keys[c]):
+                    j = c - 1
+        s = keys[j]
         if trace is not None:
             trace["selected"] = s
         b = (x ^ s).bit_length() - 1
-        low = (1 << (b + 1)) - 1
         up = (x >> b) & 1
+        # the neighbour on x's side, if any, branches from s above b: s
+        # ends the run of keys that agree with x above b, and x sits just
+        # past s (xor, direction test, neighbour xor and its compare)
+        w += 4
+        k = j + 1 if up else j - 1
+        if not 0 <= k < t or (keys[k] ^ s).bit_length() - 1 > b:
+            c = j + up
+            break
+        low = (1 << (b + 1)) - 1
         y = x | low if up else x & ~low
-        w += 8  # xor, floor-lg, shift, bit test; shl, add, sub, or/and-not
+        w += 6  # floor-lg, shl, add, sub, or/and-not: the fall-off block's 8 + 2
     ops.word_ops += w
     ops.key_compares += kc + 1 if c else kc  # ... plus the membership compare
     return c, False

@@ -296,7 +296,14 @@ def _rank_path_label(node, x):
         if interior and (x ^ keys[pc - 1]) < (x ^ s):
             s = keys[pc - 1]
     b = (x ^ s).bit_length() - 1
-    if (x >> b) & 1:
+    up = (x >> b) & 1
+    j = keys.index(s)
+    k = j + 1 if up else j - 1  # s's neighbour on x's side
+    if not 0 <= k < t:
+        return ("edge exit", up, surv1_zero, interior)
+    if (keys[k] ^ s).bit_length() - 1 > b:  # it branches from s above b
+        return ("neighbour exit", up, surv1_zero, interior)
+    if up:
         x2 = x | ((1 << (b + 1)) - 1)
         q2 = node.sketch_of(x2)
         sat = q2 == (1 << node.block_size - 1) - 1

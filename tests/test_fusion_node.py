@@ -314,11 +314,19 @@ def _probed_nodes(rng, per_shape, ends=True):
 
 def _exit(n, x, answer, trace):
     """Which exit of locate's straight-line passes x leaves by."""
-    if len(n.keys) == 1:
+    keys = n.keys
+    if len(keys) == 1:
         return "t = 1"
     if answer[1]:
         return "member in pass 1"
     s = trace["selected"]
+    j = keys.index(s)
+    side = "up" if x > s else "down"
+    k = j + 1 if x > s else j - 1  # s's neighbour on x's side
+    if not 0 <= k < len(keys):
+        return "neighbour exit up past the last key" if x > s else "neighbour exit down to rank 0"
+    if (keys[k] ^ s) > (x ^ s):
+        return f"neighbour exit {side}"
     if x < s:
         return "pass 2 down"
     y = x | ((1 << (x ^ s).bit_length()) - 1)
@@ -345,6 +353,9 @@ def test_locate_matches_loop_oracle():
             if t > 1 and got_trace["count"] == t:
                 exits["pass 1 with no survivor"] += 1
     assert set(exits) == {"t = 1", "member in pass 1", "pass 1 with no survivor",
+                          "neighbour exit up", "neighbour exit down",
+                          "neighbour exit up past the last key",
+                          "neighbour exit down to rank 0",
                           "pass 2 saturated", "pass 2 up", "pass 2 down"}, exits
 
 
@@ -352,22 +363,32 @@ def test_locate_matches_loop_oracle():
 # runs, per exit of locate.  Words are the query x and every value locate
 # computes from it by a word op: the sketches, the survivor word, the xor
 # values, the fall-off mask and the forced word y.  Control values are
-# compare results and block indices (c), as are t, kc and the loop state;
-# the node word and its masks are constants.  Each gap is charged work
-# that no word op runs:
+# compare results and indices (c, j), as are t, kc and the loop state;
+# the node word, its masks and the keys are constants.  Each gap is
+# charged work that no word op runs:
 #   member: keys[c] == x is charged as the probe and the membership
 #     compare, and one executed compare answers both (+1);
+#   neighbour test: 4 charged (xor, direction test, neighbour xor and its
+#     compare); the neighbour xor acts on two keys, not on a word, so 3
+#     run (x ^ s, x > s, the compare) (+1); with no neighbour on x's side
+#     only the first two run (+2);
 #   fall-off: 8 charged (xor, floor-lg, shift, bit test; shl, add, sub,
-#     or/and-not); 6 run going up (xor, bit_length, x > s, 1 << n, - 1,
-#     x | m) and 5 going down (xor, bit_length, x > s, >> n, << n): +2, +3;
-#   pass 2: the membership compare is charged whenever the rank is
-#     nonzero and never run, as x is known not stored there (+1).
+#     or/and-not), of which the neighbour test already ran the xor and
+#     x > s; 4 more run going up (bit_length, 1 << n, - 1, x | m) and 3
+#     going down (bit_length, >> n, << n): +2, +3;
+#   exit or pass 2: the membership compare is charged whenever the rank
+#     is nonzero and never run, as x is known not stored there (+1).
 # An exact sketch charges 4 per relevant bit and its first shift acts on
 # the constant 0, not on a word: +1 per sketch on exact nodes.
-CHARGE_GAP = {"t = 1": 0, "member in pass 1": 1, "pass 2 saturated": 2 + 1,
-              "pass 2 up": 2 + 1, "pass 2 down": 3 + 1,
-              "pass 2 down to rank 0": 3}
-SKETCHES = {"t = 1": 0, "member in pass 1": 1}  # every other exit runs 2
+CHARGE_GAP = {"t = 1": 0, "member in pass 1": 1,
+              "neighbour exit up": 1 + 1, "neighbour exit down": 1 + 1,
+              "neighbour exit up past the last key": 2 + 1,
+              "neighbour exit down to rank 0": 2,
+              "pass 2 saturated": 1 + 2 + 1, "pass 2 up": 1 + 2 + 1,
+              "pass 2 down": 1 + 3 + 1, "pass 2 down to rank 0": 1 + 3}
+SKETCHES = {"t = 1": 0, "member in pass 1": 1, "neighbour exit up": 1,
+            "neighbour exit down": 1, "neighbour exit up past the last key": 1,
+            "neighbour exit down to rank 0": 1}  # pass 2 exits run 2
 
 
 def test_charges_match_executed_word_ops():
@@ -399,6 +420,44 @@ def test_charges_match_executed_word_ops():
         assert len(counts) == 1, (branches, counts)
     shapes = set().union(*(s for c in executed.values() for s in c.values()))
     assert shapes == {(t, w) for t in range(2, 9) for w in WIDTHS}
+
+
+def test_neighbour_exit_is_exact():
+    # a visit whose selected key's neighbour on x's side branches from it
+    # above the fall-off bit (or is missing) ends after pass 1, at the
+    # rank bisect_right gives; every other non-member visit runs pass 2
+    rng = random.Random(PIN_SEED + 3)
+    taken = Counter()
+    for width in WIDTHS:
+        top = (1 << width) - 1
+        for strategy in (EXACT, MULTIPLICATIVE):
+            for t in range(2, 9):
+                for clustered in (False, True) * 12:
+                    base, keys = rng.getrandbits(width), set()
+                    while len(keys) < t:  # clustered: long shared prefixes
+                        low = rng.getrandbits(rng.randint(1, max(3, width // 4)))
+                        keys.add(base ^ low if clustered else rng.getrandbits(width))
+                    keys = sorted(keys)
+                    n = FusionNode(keys, width=width, cap=8, strategy=strategy)
+                    probes = {0, top} | {min(top, max(0, k + d)) for k in keys
+                                         for d in (-1, 1)}
+                    for x in probes:
+                        ops, trace = OpCounters(), {}
+                        answer = n.locate(x, ops, trace)
+                        assert answer == (bisect_right(keys, x), x in keys)
+                        path = _exit(n, x, answer, trace)
+                        c = trace["count"]
+                        # pass 1, the xor compare if it ran, and the exit's 4
+                        exit_charge = trace["word_ops"] + 3 * (0 < c < t) + 4
+                        if path.startswith("neighbour exit"):
+                            assert ops.word_ops == exit_charge, (keys, x)
+                            assert not answer[1]
+                            taken[path] += 1
+                        elif not answer[1]:  # pass 2 ran
+                            assert ops.word_ops > exit_charge, (keys, x)
+    assert set(taken) == {"neighbour exit up", "neighbour exit down",
+                          "neighbour exit up past the last key",
+                          "neighbour exit down to rank 0"}, taken
 
 
 def test_node_insert_rebuilds():
@@ -477,9 +536,9 @@ def test_dump_mentions_structure():
 # one body; any change to what locate() or rank() charges moves them.
 
 PIN_SEED = 20261018
-PIN_LOCATE = (183747, 10030)  # (word_ops, key_compares)
-PIN_RANK = (183747, 5304)
-PIN_FUSION_SORT = (3051285, 199536, 6, 4336)  # (word_ops, key_compares, height, splits)
+PIN_LOCATE = (108825, 10030)  # (word_ops, key_compares)
+PIN_RANK = (108825, 5304)
+PIN_FUSION_SORT = (1771739, 199536, 6, 4336)  # (word_ops, key_compares, height, splits)
 PIN_BTREE_SORT = (0, 315643, 6, 4336)
 
 
@@ -505,11 +564,11 @@ def test_charges_pinned():
 # recorded from the tree code before its four reads were folded into one
 # descent; any change to what a tree-level read charges moves them.
 PIN_READS = {
-    "fusion-multiplicative": {"search": (25677, 1659), "rank": (27181, 1659),
-                              "predecessor": (25677, 1659),
-                              "successor": (25677, 1659)},
-    "fusion-exact": {"search": (43008, 1659), "rank": (44512, 1659),
-                     "predecessor": (43008, 1659), "successor": (43008, 1659)},
+    "fusion-multiplicative": {"search": (14704, 1659), "rank": (16208, 1659),
+                              "predecessor": (14704, 1659),
+                              "successor": (14704, 1659)},
+    "fusion-exact": {"search": (24262, 1659), "rank": (25766, 1659),
+                     "predecessor": (24262, 1659), "successor": (24262, 1659)},
     "btree": {"search": (0, 2809), "rank": (1504, 2809),
               "predecessor": (0, 2809), "successor": (0, 2809)},
 }

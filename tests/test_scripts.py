@@ -1,6 +1,7 @@
 """Smoke tests: the scripts in scripts/ run against the current API."""
 
 import os
+import shutil
 import subprocess
 import sys
 from bisect import bisect_right
@@ -16,14 +17,25 @@ from oracles import trs
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run_script(name, *args):
+def _run_script(name, *args, code=0):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     res = subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args],
                          capture_output=True, text=True, env=env, timeout=300)
-    assert res.returncode == 0, res.stderr
+    assert res.returncode == code, res.stderr
     return res.stdout.splitlines()
+
+
+def _edited_src(tmp_path, module, old, new):
+    """A copy of src/ with one line of fusionsort/``module`` edited."""
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    path = src / "fusionsort" / module
+    text = path.read_text()
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new))
+    return str(src)
 
 
 def test_node_anatomy(tmp_path):
@@ -104,3 +116,49 @@ def test_ab_pairs_opcodes_repeat():
     for _, counts in rows:
         a, b, ratio = counts.replace(" -> ", " ").split()
         assert a == b and int(a) > 0 and ratio == "(1.0000)"
+
+
+def test_ab_pairs_word_ops_only_tallies_and_times(tmp_path):
+    # a change that moves one word-op charge and nothing else: every
+    # mismatch is tallied per counter, the timing still runs, exit 1
+    src = _edited_src(tmp_path, "fusion_node.py", "w + 10 + sk_ops + 7",
+                      "w + 11 + sk_ops + 7")
+    lines = _run_script("ab_pairs.py", str(ROOT / "src"), src, "--algo", "fusion",
+                        "--n", "300", "--pairs", "2", code=1)
+    rows = [line for line in lines if line.startswith("MISMATCH ")]
+    assert rows and all(line.startswith(("MISMATCH fusion-", "MISMATCH read fusion-"))
+                        for line in rows)
+    for line in rows:
+        if line.startswith("MISMATCH read "):
+            assert "; answers 0 differ; word_ops 0 lower, " in line
+            assert line.endswith(" higher; key_compares 0 lower, 808 equal, 0 higher")
+        else:
+            assert line.endswith(", outputs equal")
+    at = len(rows)
+    assert lines[at].endswith(f"): {len(rows)} mismatched")
+    assert lines[at + 1].startswith("sort rows, change against base: word_ops 0 lower, ")
+    assert "; key_compares 0 lower, 80 equal, 0 higher; height 0 lower, 60 equal" in lines[at + 1]
+    assert lines[at + 2].startswith("reads, change against base: answers 0 differ; "
+                                    "word_ops 0 lower, ")
+    assert lines[at + 3] == "only word_ops differ: timing anyway, exit status 1"
+    assert [line.split(":")[0] for line in lines[at + 4:at + 6]] == ["pair 1", "pair 2"]
+    assert lines[at + 10] == "fresh-interpreter import fusionsort.bench, ms median (quartiles):"
+    assert len(lines) == at + 14
+    # the mix chunks and the opcode count run too
+    lines = _run_script("ab_pairs.py", str(ROOT / "src"), src, "--algo", "mix",
+                        "--n", "300", "--pairs", "2", "--opcodes", "100", code=1)
+    assert "mix chunks, change against base: word_ops 0 lower, 0 equal, 2 higher" in lines
+    assert lines[-6] == ("interpreter opcodes (sys.settrace opcode events; "
+                         "C-level work not seen), base -> change:")
+
+
+def test_ab_pairs_wrong_answer_stops_at_check(tmp_path):
+    # a wrong read answer is more than a word-op move: no timing, exit 1
+    src = _edited_src(tmp_path, "fusion_tree.py", "return total\n\n    def predecessor",
+                      "return total + 1\n\n    def predecessor")
+    lines = _run_script("ab_pairs.py", str(ROOT / "src"), src, "--algo", "fusion",
+                        "--n", "300", "--pairs", "2", code=1)
+    assert any(line.startswith("MISMATCH read fusion-") and "; answers 202 differ;" in line
+               for line in lines)
+    assert lines[-1] == "more than word_ops differ: stopping before timing"
+    assert not any(line.startswith("pair ") for line in lines)
