@@ -24,12 +24,15 @@ known: the neighbour exit, charged 4 word ops (xor, direction test,
 neighbour xor and its compare), with a missing neighbour standing for
 one that branches higher.  It reads no sketch, so exact nodes take it
 too; in a uniform sort it ends about 90 % of the visits to nodes of two
-or more keys.  Otherwise x's bits below p are forced to ones or zeros
-and pass 2 sketches and counts that word once, which gives the exact
-rank.  ``rank`` wraps it, and a caller that wants to see pass 1 passes
-a ``trace`` dict, which receives the sketch, the survivor word, the
-count, the selected key and the word ops charged so far (the ``--demo``
-walkthrough and ``scripts/node_anatomy.py`` read it).
+or more keys.  Otherwise, when the run reaches the node's last key
+(going up) or its first (going down), the rank is t or 0: the far-end
+exit, 2 word ops more (the far key's xor and its compare).  Only a run
+that ends inside the node is left: x's bits below p are forced to ones
+or zeros and pass 2 sketches and counts that word once, which gives the
+exact rank.  ``rank`` wraps it, and a caller that wants to see pass 1
+passes a ``trace`` dict, which receives the sketch, the survivor word,
+the count, the selected key and the word ops charged so far (the
+``--demo`` walkthrough and ``scripts/node_anatomy.py`` read it).
 ``SketchScheme.sketch`` is the one per-bit (exact) evaluator, which exact
 nodes call; the multiplicative formula, run by nearly every visit, is
 inlined in ``_ensure`` and both passes, where a method call costs most.
@@ -196,12 +199,16 @@ class FusionNode:
         exit: if j is 0 or keys[j - 1] ^ s > x ^ s (down), or j is
         t - 1 or keys[j + 1] ^ s > x ^ s (up), that edge is s and the
         rank is j or j + 1, for 4 word ops (xor, direction test,
-        neighbour xor and its compare).  Else pass 2 sketches x with the
-        bits from p down forced to ones (x > s), and counts the blocks up
-        to and including that sketch, unless it is all ones and no block
-        can exceed it; or forced to zeros, and counts the blocks below
-        it; the fall-off block costs 8 word ops on top of the neighbour
-        test's 2.  Each exit adds its word-op charge to ``ops`` once.
+        neighbour xor and its compare).  Far-end exit: if keys[t - 1] ^ s
+        < x ^ s (up), or keys[0] ^ s < x ^ s (down), the run reaches that
+        key and the rank is t or 0, for 2 word ops more (the far key's
+        xor and its compare).  Else the rank lies strictly inside the
+        node: pass 2 sketches x with the bits from p down forced to ones
+        (x > s) and counts the blocks up to and including that sketch, or
+        forced to zeros and counts the blocks below it; the far key's
+        block always survives the count.  The fall-off block costs 8 word
+        ops on top of the two tests' 4.  Each exit adds its word-op
+        charge to ``ops`` once.
 
         A ``trace`` dict, if given, receives pass 1's values: ``sketch``,
         ``survivors`` (the masked difference word), ``count`` (c),
@@ -267,18 +274,29 @@ class FusionNode:
                 ops.word_ops += w + 4
                 ops.key_compares += kc + 1  # ... plus the membership compare
                 return j + 1, False
+            # far-end exit: the run around s reaches the last key
+            if (keys[t - 1] ^ s) < d:
+                ops.word_ops += w + 6
+                ops.key_compares += kc + 1  # ... plus the membership compare
+                return t, False
         elif not j or (keys[j - 1] ^ s) > d:
             ops.word_ops += w + 4
             ops.key_compares += kc + 1 if j else kc  # ... plus the membership compare
             return j, False
+        elif (keys[0] ^ s) < d:  # far-end exit: the run reaches the first key
+            ops.word_ops += w + 6
+            ops.key_compares += kc
+            return 0, False
         # the fall-off block: xor, floor-lg, shift, bit test; shl, add,
         # sub, or/and-not (8 ops, the xor and direction test above among
-        # them), plus the neighbour test's 2: 10 ops (clearing bits
-        # n-1..0 is done here as a shift pair, same word)
+        # them), plus the neighbour and far-end tests' 2 each: 12 ops
+        # (clearing bits n-1..0 is done here as a shift pair, same word)
         n = d.bit_length()
         y = x | ((1 << n) - 1) if up else x >> n << n
-        # pass 2: sketch y; going up, a saturation test (1 op) and q + 1
-        # (1 more) to count the blocks <= sk(y)
+        # pass 2: sketch y; going up, q + 1 (1 op) counts the blocks <=
+        # sk(y).  The far key's block lies beyond sk(y), so a separator
+        # survives: replicate, subtract and mask, then floor-lg, bit offset
+        # and block divide, with no zero test (6 ops)
         if mult == 1:
             q = (y & sk_mask) >> sk_shift
         elif mult is not None:
@@ -286,21 +304,12 @@ class FusionNode:
         else:
             q = scheme.sketch(y)
         if up:
-            if q == lenmask:  # no block sketch exceeds an all-ones window
-                ops.word_ops += w + 10 + sk_ops + 1
-                ops.key_compares += kc + 1  # ... plus the membership compare
-                return t, False
             q += 1
-            w += 2
+            w += 1
         survivors = (node_word - q * unit) & top_mask
-        if survivors:
-            c = (word_bits - survivors.bit_length()) // block
-            ops.word_ops += w + 10 + sk_ops + 7
-        else:
-            c = t
-            ops.word_ops += w + 10 + sk_ops + 4
-        ops.key_compares += kc + 1 if c else kc  # ... plus the membership compare
-        return c, False
+        ops.word_ops += w + 12 + sk_ops + 6
+        ops.key_compares += kc + 1  # ... plus the membership compare
+        return (word_bits - survivors.bit_length()) // block, False
 
     # -- introspection -----------------------------------------------------
 

@@ -315,9 +315,10 @@ def read_key_file(data: bytes, width: int = 64):
 
 
 def locate(node, x: int, ops, trace: dict | None = None):
-    """Reference for ``FusionNode.locate``: the same two passes and
-    neighbour exit as one loop, sketch and count written once and charged
-    by running sums; the exit compares bit positions, not xor values.
+    """Reference for ``FusionNode.locate``: the same two passes, neighbour
+    exit and far-end exit as one loop, sketch and count written once and
+    charged by running sums; the exits compare bit positions, not xor
+    values.
     Must agree with it on the answer, both charges and every trace field."""
     keys = node.keys
     t = len(keys)
@@ -353,21 +354,18 @@ def locate(node, x: int, ops, trace: dict | None = None):
                 q = (q << 1) | ((y >> b) & 1)
         w += sk_ops
         if up:
-            w += 1  # saturation test
-            if q == lenmask:
-                c = t  # no block sketch exceeds an all-ones window
-                break
             w += 1  # q + 1: count the blocks <= sk(y)
             q += 1
-        # replicate, subtract, mask and zero test: 4 ops; floor-lg, bit
-        # offset and block divide: 3 more if any separator survives
+        # replicate, subtract and mask: 3 ops, and in pass 1 a zero test
+        # (pass 2's word always holds the far key's separator); floor-lg,
+        # bit offset and block divide: 3 more if any separator survives
         survivors = (node_word - q * unit) & top_mask
+        w += 4 if up is None else 3
         if survivors:
             c = (word_bits - survivors.bit_length()) // block
-            w += 7
+            w += 3
         else:
             c = t
-            w += 4
         if up is not None:
             break
         if trace is not None:  # selected stays x if x is stored here
@@ -397,6 +395,13 @@ def locate(node, x: int, ops, trace: dict | None = None):
         k = j + 1 if up else j - 1
         if not 0 <= k < t or (keys[k] ^ s).bit_length() - 1 > b:
             c = j + up
+            break
+        # the last key (up) or the first (down) branches from s below b:
+        # the run reaches it, and x lies past every key or below every key
+        # (its xor and compare)
+        w += 2
+        if ((keys[t - 1] if up else keys[0]) ^ s).bit_length() - 1 < b:
+            c = t if up else 0
             break
         low = (1 << (b + 1)) - 1
         y = x | low if up else x & ~low

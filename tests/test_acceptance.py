@@ -303,16 +303,10 @@ def _rank_path_label(node, x):
         return ("edge exit", up, surv1_zero, interior)
     if (keys[k] ^ s).bit_length() - 1 > b:  # it branches from s above b
         return ("neighbour exit", up, surv1_zero, interior)
-    if up:
-        x2 = x | ((1 << (b + 1)) - 1)
-        q2 = node.sketch_of(x2)
-        sat = q2 == (1 << node.block_size - 1) - 1
-        surv2_zero = (not sat) and sum(1 for v in sks if v < q2 + 1) == t
-        return ("a", surv1_zero, interior, sat, surv2_zero)
-    x2 = x & ~((1 << (b + 1)) - 1)
-    q2 = node.sketch_of(x2)
-    surv2_zero = sum(1 for v in sks if v < q2) == t
-    return ("b", surv1_zero, interior, surv2_zero)
+    far = keys[t - 1] if up else keys[0]
+    if (far ^ s).bit_length() - 1 < b:  # the run around s reaches it
+        return ("far-end exit", up, surv1_zero, interior)
+    return ("pass 2", up, surv1_zero, interior)
 
 
 def test_criterion_08_constant_node_ops():

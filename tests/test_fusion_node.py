@@ -327,12 +327,9 @@ def _exit(n, x, answer, trace):
         return "neighbour exit up past the last key" if x > s else "neighbour exit down to rank 0"
     if (keys[k] ^ s) > (x ^ s):
         return f"neighbour exit {side}"
-    if x < s:
-        return "pass 2 down"
-    y = x | ((1 << (x ^ s).bit_length()) - 1)
-    return ("pass 2 saturated"
-            if n.scheme.sketch(y) == (1 << n.scheme.padded_length) - 1
-            else "pass 2 up")
+    if ((keys[-1] if x > s else keys[0]) ^ s) < (x ^ s):  # the run reaches it
+        return "far-end exit up to the last key" if x > s else "far-end exit down to rank 0"
+    return f"pass 2 {side}"
 
 
 def test_locate_matches_loop_oracle():
@@ -356,7 +353,9 @@ def test_locate_matches_loop_oracle():
                           "neighbour exit up", "neighbour exit down",
                           "neighbour exit up past the last key",
                           "neighbour exit down to rank 0",
-                          "pass 2 saturated", "pass 2 up", "pass 2 down"}, exits
+                          "far-end exit up to the last key",
+                          "far-end exit down to rank 0",
+                          "pass 2 up", "pass 2 down"}, exits
 
 
 # Charge (word ops plus key compares) minus the operations a counting word
@@ -372,6 +371,9 @@ def test_locate_matches_loop_oracle():
 #     compare); the neighbour xor acts on two keys, not on a word, so 3
 #     run (x ^ s, x > s, the compare) (+1); with no neighbour on x's side
 #     only the first two run (+2);
+#   far-end test (every visit past the neighbour test): 2 charged (the
+#     far key's xor and its compare); the xor acts on two keys, not on a
+#     word, so only the compare runs (+1);
 #   fall-off: 8 charged (xor, floor-lg, shift, bit test; shl, add, sub,
 #     or/and-not), of which the neighbour test already ran the xor and
 #     x > s; 4 more run going up (bit_length, 1 << n, - 1, x | m) and 3
@@ -384,11 +386,13 @@ CHARGE_GAP = {"t = 1": 0, "member in pass 1": 1,
               "neighbour exit up": 1 + 1, "neighbour exit down": 1 + 1,
               "neighbour exit up past the last key": 2 + 1,
               "neighbour exit down to rank 0": 2,
-              "pass 2 saturated": 1 + 2 + 1, "pass 2 up": 1 + 2 + 1,
-              "pass 2 down": 1 + 3 + 1, "pass 2 down to rank 0": 1 + 3}
+              "far-end exit up to the last key": 1 + 1 + 1,
+              "far-end exit down to rank 0": 1 + 1,
+              "pass 2 up": 1 + 1 + 2 + 1, "pass 2 down": 1 + 1 + 3 + 1}
 SKETCHES = {"t = 1": 0, "member in pass 1": 1, "neighbour exit up": 1,
             "neighbour exit down": 1, "neighbour exit up past the last key": 1,
-            "neighbour exit down to rank 0": 1}  # pass 2 exits run 2
+            "neighbour exit down to rank 0": 1, "far-end exit up to the last key": 1,
+            "far-end exit down to rank 0": 1}  # pass 2 exits run 2
 
 
 def test_charges_match_executed_word_ops():
@@ -403,8 +407,6 @@ def test_charges_match_executed_word_ops():
             trace = {}
             answer = n.locate(x, OpCounters(), trace)
             path = _exit(n, x, answer, trace)
-            if path == "pass 2 down" and not answer[0]:
-                path = "pass 2 down to rank 0"
             ops, tally = OpCounters(), [0]
             assert n.locate(oracles.CountingWord(x, tally), ops) == answer
             ran = tally[0]
@@ -458,6 +460,55 @@ def test_neighbour_exit_is_exact():
     assert set(taken) == {"neighbour exit up", "neighbour exit down",
                           "neighbour exit up past the last key",
                           "neighbour exit down to rank 0"}, taken
+
+
+def test_far_end_exit_is_exact():
+    # past the neighbour test, a visit whose run reaches the last key
+    # (going up) or the first (going down) ends at rank t or 0, as
+    # bisect_right gives, charged 2 word ops on top of the neighbour
+    # test's 4; every visit that still runs pass 2 ranks strictly inside
+    # the node, so pass 2 needs no saturation exit and no zero-survivor
+    # branch.  The exit's `<` against `<=` is not tested: the two differ
+    # only if the far key's xor equals x ^ s, so the far key is x, and
+    # pass 1 already returns a stored x as a member.
+    rng = random.Random(PIN_SEED + 4)
+    taken = Counter()
+    for width in WIDTHS:
+        top = (1 << width) - 1
+        for strategy in (EXACT, MULTIPLICATIVE):
+            for t in range(2, 9):
+                for clustered in (False, True) * 12:
+                    base, keys = rng.getrandbits(width), set()
+                    while len(keys) < t:  # clustered: long shared prefixes
+                        low = rng.getrandbits(rng.randint(1, max(3, width // 4)))
+                        keys.add(base ^ low if clustered else rng.getrandbits(width))
+                    keys = sorted(keys)
+                    n = FusionNode(keys, width=width, cap=8, strategy=strategy)
+                    probes = {0, top} | {min(top, max(0, k + d)) for k in keys
+                                         for d in (-1, 1)}
+                    probes.update(rng.getrandbits(width) for _ in range(4))
+                    for x in probes:
+                        ops, trace = OpCounters(), {}
+                        answer = n.locate(x, ops, trace)
+                        rank = bisect_right(keys, x)
+                        assert answer == (rank, x in keys), (keys, x)
+                        path = _exit(n, x, answer, trace)
+                        c = trace["count"]
+                        # pass 1, the xor compare if it ran, the neighbour
+                        # test's 4 and the far-end test's 2
+                        exit_charge = trace["word_ops"] + 3 * (0 < c < t) + 4 + 2
+                        if path.startswith("far-end exit"):
+                            assert rank == (t if x > trace["selected"] else 0)
+                            assert ops.word_ops == exit_charge, (keys, x)
+                            # the probe compare if c < t, the membership
+                            # compare if the rank is nonzero
+                            assert ops.key_compares == (c < t) + (rank > 0), (keys, x)
+                        elif path.startswith("pass 2"):
+                            assert 0 < rank < t, (keys, x)
+                            assert ops.word_ops > exit_charge, (keys, x)
+                        taken[path] += 1
+    assert {"far-end exit up to the last key", "far-end exit down to rank 0",
+            "pass 2 up", "pass 2 down"} <= set(taken), taken
 
 
 def test_node_insert_rebuilds():
@@ -536,9 +587,9 @@ def test_dump_mentions_structure():
 # one body; any change to what locate() or rank() charges moves them.
 
 PIN_SEED = 20261018
-PIN_LOCATE = (108825, 10030)  # (word_ops, key_compares)
-PIN_RANK = (108825, 5304)
-PIN_FUSION_SORT = (1771739, 199536, 6, 4336)  # (word_ops, key_compares, height, splits)
+PIN_LOCATE = (106572, 10030)  # (word_ops, key_compares)
+PIN_RANK = (106572, 5304)
+PIN_FUSION_SORT = (1669841, 199536, 6, 4336)  # (word_ops, key_compares, height, splits)
 PIN_BTREE_SORT = (0, 315643, 6, 4336)
 
 
@@ -564,11 +615,11 @@ def test_charges_pinned():
 # recorded from the tree code before its four reads were folded into one
 # descent; any change to what a tree-level read charges moves them.
 PIN_READS = {
-    "fusion-multiplicative": {"search": (14704, 1659), "rank": (16208, 1659),
-                              "predecessor": (14704, 1659),
-                              "successor": (14704, 1659)},
-    "fusion-exact": {"search": (24262, 1659), "rank": (25766, 1659),
-                     "predecessor": (24262, 1659), "successor": (24262, 1659)},
+    "fusion-multiplicative": {"search": (14245, 1659), "rank": (15749, 1659),
+                              "predecessor": (14245, 1659),
+                              "successor": (14245, 1659)},
+    "fusion-exact": {"search": (23397, 1659), "rank": (24901, 1659),
+                     "predecessor": (23397, 1659), "successor": (23397, 1659)},
     "btree": {"search": (0, 2809), "rank": (1504, 2809),
               "predecessor": (0, 2809), "successor": (0, 2809)},
 }

@@ -1,18 +1,22 @@
 """Smoke tests: the scripts in scripts/ run against the current API."""
 
+import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 from bisect import bisect_right
 from pathlib import Path
 
+from fusionsort.bench import DISTS, generate
 from fusionsort.counters import OpCounters
 from fusionsort.fusion_node import FusionNode
 from fusionsort.sketch import MULTIPLICATIVE
 from fusionsort.trie import CompressedTrie
 
 from oracles import trs
+from test_fusion_node import CHARGE_GAP, _exit, _probed_nodes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -121,8 +125,8 @@ def test_ab_pairs_opcodes_repeat():
 def test_ab_pairs_word_ops_only_tallies_and_times(tmp_path):
     # a change that moves one word-op charge and nothing else: every
     # mismatch is tallied per counter, the timing still runs, exit 1
-    src = _edited_src(tmp_path, "fusion_node.py", "w + 10 + sk_ops + 7",
-                      "w + 11 + sk_ops + 7")
+    src = _edited_src(tmp_path, "fusion_node.py", "w + 12 + sk_ops + 6",
+                      "w + 13 + sk_ops + 6")
     lines = _run_script("ab_pairs.py", str(ROOT / "src"), src, "--algo", "fusion",
                         "--n", "300", "--pairs", "2", code=1)
     rows = [line for line in lines if line.startswith("MISMATCH ")]
@@ -162,3 +166,81 @@ def test_ab_pairs_wrong_answer_stops_at_check(tmp_path):
                for line in lines)
     assert lines[-1] == "more than word_ops differ: stopping before timing"
     assert not any(line.startswith("pair ") for line in lines)
+
+
+def test_visit_census(monkeypatch):
+    # per dist and phase the path counts sum to the visits, the visits
+    # equal a count of locate calls made outside the census, and the
+    # paths are the ones CHARGE_GAP charges, derived as _exit derives them
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import visit_census
+    assert set(visit_census.PATHS) == set(CHARGE_GAP)
+    for n, probes in _probed_nodes(random.Random(5), 1):
+        for x in probes:
+            trace = {}
+            answer = n.locate(x, OpCounters(), trace)
+            assert visit_census.exit_path(n, x, answer, trace) == _exit(n, x, answer, trace)
+    calls = [0]
+    locate = FusionNode.locate
+
+    def counted(node, *args):
+        calls[0] += 1
+        return locate(node, *args)
+
+    monkeypatch.setattr(FusionNode, "locate", counted)
+    for dist in DISTS:
+        before = calls[0]
+        phases = visit_census.census(dist, 2000, 1)
+        assert sum(ph["visits"] for ph in phases.values()) == calls[0] - before
+        for ph in phases.values():
+            assert sum(ph["paths"].values()) == ph["visits"] > 0
+            assert sum(ph["forms"].values()) == ph["visits"] - ph["paths"]["t = 1"]
+    assert FusionNode.locate is counted  # the census put back what it wrapped
+    lines = _run_script("visit_census.py", "--n", "300", "--seed", "2")
+    assert lines[0] == ("visit census: n=300 seed=2 width=64 cap=7; "
+                        "mix: 1 chunks of 1000 ops")
+    assert len(lines) == 1 + len(DISTS) * 2 * (2 + len(CHARGE_GAP))
+
+
+def test_bench_record_schema_and_repeat(tmp_path, monkeypatch):
+    # at small n, with perfbench and the opcode count left out: every
+    # part is there, a second run gives the same counters and census, and
+    # the tree sorts' counters are the ones ab_pairs.py checks
+    runs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        lines = _run_script("bench_record.py", "--out", str(out), "--n", "300",
+                            "--perfbench-seconds", "0", "--opcodes", "0",
+                            "--tier1", "1 passed in 1.0 s")
+        assert lines == [f"wrote {out}"]
+        runs.append(json.loads(out.read_text()))
+    rec = runs[0]
+    assert set(rec) == {"provenance", "config", "end_to_end", "census",
+                        "perfbench", "opcodes"}
+    assert rec["perfbench"] is None and rec["opcodes"] is None
+    assert set(rec["provenance"]) == {"commit", "dirty", "python", "nproc",
+                                      "date", "tier1"}
+    assert rec["provenance"]["tier1"] == "1 passed in 1.0 s"
+    assert rec["config"] == {"n": 300, "seed": 1, "width": 64, "cap": 7, "trials": 3}
+    cells = rec["end_to_end"]
+    assert [(c["dist"], c["algo"]) for c in cells] == [
+        (dist, algo) for dist in DISTS for algo in ("fusion", "btree", "mergesort", "stdsort")]
+    for cell in cells:
+        assert len(cell["us_per_key_trials"]) == 3
+        assert cell["us_per_key"] == sorted(cell["us_per_key_trials"])[1] > 0
+    assert set(rec["census"]) == set(DISTS)
+    counters = ("dist", "algo", "word_ops", "key_compares", "height", "splits")
+    for r in runs:
+        assert all(c["word_ops"] > 0 for c in r["end_to_end"] if c["algo"] == "fusion")
+    assert ([[c[k] for k in counters] for c in runs[0]["end_to_end"]]
+            == [[c[k] for k in counters] for c in runs[1]["end_to_end"]])
+    assert runs[0]["census"] == runs[1]["census"]
+    # the record charges what ab_pairs.py charges for the same sorts
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import fusionsort
+    from ab_pairs import sort
+    for cell in rec["end_to_end"]:
+        if cell["algo"] in ("fusion", "btree"):
+            data = generate(cell["dist"], 300, 1, 64)
+            assert list(sort(fusionsort, cell["algo"], data, 64)[1]) == [
+                cell[k] for k in counters[2:]]
