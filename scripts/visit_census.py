@@ -14,9 +14,10 @@ package is untouched, and prints per dist and phase (sort, mix):
   distinct key for the sort and per operation for the mix;
 - the share of visits to nodes of two or more keys by sketch form:
   single shift (multiplier 1), multiplied, exact;
-- the share of visits by exit path, named as
-  ``tests/test_fusion_node.py``'s ``CHARGE_GAP`` names them and derived
-  as its ``_exit`` derives them, from the keys and pass 1's trace.
+- the share of visits by exit path, one of ``PATHS``, derived by
+  ``exit_path`` from the keys and pass 1's trace.  ``PATHS`` and
+  ``exit_path`` are the one naming of the paths: the node tests import
+  them, and ``tests/test_fusion_node.py``'s ``CHARGE_GAP`` charges them.
 
 Counts are exact and repeat for a given (n, seed); the wrapper's trace
 dict and path test make the runs slower than the plain ones.

@@ -17,6 +17,7 @@ from fusionsort.wordops import WIDTHS
 
 import oracles
 from oracles import block_leading_bits_mask, block_low_bits_mask
+from visit_census import PATHS, exit_path
 
 KEYS8 = [0b11011111, 0b11100000, 0b11100001, 0b11111110]
 X8 = 0b11100111
@@ -312,26 +313,6 @@ def _probed_nodes(rng, per_shape, ends=True):
                     yield FusionNode(keys, width=width, cap=8, strategy=strategy), sorted(probes)
 
 
-def _exit(n, x, answer, trace):
-    """Which exit of locate's straight-line passes x leaves by."""
-    keys = n.keys
-    if len(keys) == 1:
-        return "t = 1"
-    if answer[1]:
-        return "member in pass 1"
-    s = trace["selected"]
-    j = keys.index(s)
-    side = "up" if x > s else "down"
-    k = j + 1 if x > s else j - 1  # s's neighbour on x's side
-    if not 0 <= k < len(keys):
-        return "neighbour exit up past the last key" if x > s else "neighbour exit down to rank 0"
-    if (keys[k] ^ s) > (x ^ s):
-        return f"neighbour exit {side}"
-    if ((keys[-1] if x > s else keys[0]) ^ s) < (x ^ s):  # the run reaches it
-        return "far-end exit up to the last key" if x > s else "far-end exit down to rank 0"
-    return f"pass 2 {side}"
-
-
 def test_locate_matches_loop_oracle():
     # the straight-line passes answer, charge and trace probe for probe
     # as the loop form in tests/oracles.py does
@@ -346,20 +327,14 @@ def test_locate_matches_loop_oracle():
             assert (got, got_ops.snapshot(), got_trace) == (
                 want, want_ops.snapshot(), want_trace), (keys, n.strategy, x)
             assert got == (scan_rank(keys, x), x in keys)
-            exits[_exit(n, x, got, got_trace)] += 1
+            exits[exit_path(n, x, got, got_trace)] += 1
             if t > 1 and got_trace["count"] == t:
                 exits["pass 1 with no survivor"] += 1
-    assert set(exits) == {"t = 1", "member in pass 1", "pass 1 with no survivor",
-                          "neighbour exit up", "neighbour exit down",
-                          "neighbour exit up past the last key",
-                          "neighbour exit down to rank 0",
-                          "far-end exit up to the last key",
-                          "far-end exit down to rank 0",
-                          "pass 2 up", "pass 2 down"}, exits
+    assert set(exits) == {*PATHS, "pass 1 with no survivor"}, exits
 
 
 # Charge (word ops plus key compares) minus the operations a counting word
-# runs, per exit of locate.  Words are the query x and every value locate
+# runs, per exit of locate, in the order of scripts/visit_census.py's PATHS.  Words are the query x and every value locate
 # computes from it by a word op: the sketches, the survivor word, the xor
 # values, the fall-off mask and the forced word y.  Control values are
 # compare results and indices (c, j), as are t, kc and the loop state;
@@ -382,17 +357,16 @@ def test_locate_matches_loop_oracle():
 #     is nonzero and never run, as x is known not stored there (+1).
 # An exact sketch charges 4 per relevant bit and its first shift acts on
 # the constant 0, not on a word: +1 per sketch on exact nodes.
-CHARGE_GAP = {"t = 1": 0, "member in pass 1": 1,
-              "neighbour exit up": 1 + 1, "neighbour exit down": 1 + 1,
-              "neighbour exit up past the last key": 2 + 1,
-              "neighbour exit down to rank 0": 2,
-              "far-end exit up to the last key": 1 + 1 + 1,
-              "far-end exit down to rank 0": 1 + 1,
-              "pass 2 up": 1 + 1 + 2 + 1, "pass 2 down": 1 + 1 + 3 + 1}
-SKETCHES = {"t = 1": 0, "member in pass 1": 1, "neighbour exit up": 1,
-            "neighbour exit down": 1, "neighbour exit up past the last key": 1,
-            "neighbour exit down to rank 0": 1, "far-end exit up to the last key": 1,
-            "far-end exit down to rank 0": 1}  # pass 2 exits run 2
+CHARGE_GAP = dict(zip(PATHS, (
+    0,                 # t = 1
+    1,                 # member in pass 1
+    1 + 1, 1 + 1,      # neighbour exit up, down
+    2 + 1, 2,          # neighbour exit up past the last key, down to rank 0
+    1 + 1 + 1, 1 + 1,  # far-end exit up to the last key, down to rank 0
+    1 + 1 + 2 + 1, 1 + 1 + 3 + 1), strict=True))  # pass 2 up, down
+# sketches computed per path: none at t = 1, two in pass 2, one elsewhere
+SKETCHES = {path: 0 if path == "t = 1" else 2 if path.startswith("pass 2") else 1
+            for path in PATHS}
 
 
 def test_charges_match_executed_word_ops():
@@ -406,11 +380,11 @@ def test_charges_match_executed_word_ops():
         for x in probes:
             trace = {}
             answer = n.locate(x, OpCounters(), trace)
-            path = _exit(n, x, answer, trace)
+            path = exit_path(n, x, answer, trace)
             ops, tally = OpCounters(), [0]
             assert n.locate(oracles.CountingWord(x, tally), ops) == answer
             ran = tally[0]
-            gap = CHARGE_GAP[path] + exact * SKETCHES.get(path, 2)
+            gap = CHARGE_GAP[path] + exact * SKETCHES[path]
             assert ops.word_ops + ops.key_compares - ran == gap, (n.keys, x, path)
             if not exact and t > 1:
                 branches = (path, n.scheme.multiplier == 1, trace["survivors"] != 0,
@@ -424,55 +398,10 @@ def test_charges_match_executed_word_ops():
     assert shapes == {(t, w) for t in range(2, 9) for w in WIDTHS}
 
 
-def test_neighbour_exit_is_exact():
-    # a visit whose selected key's neighbour on x's side branches from it
-    # above the fall-off bit (or is missing) ends after pass 1, at the
-    # rank bisect_right gives; every other non-member visit runs pass 2
-    rng = random.Random(PIN_SEED + 3)
-    taken = Counter()
-    for width in WIDTHS:
-        top = (1 << width) - 1
-        for strategy in (EXACT, MULTIPLICATIVE):
-            for t in range(2, 9):
-                for clustered in (False, True) * 12:
-                    base, keys = rng.getrandbits(width), set()
-                    while len(keys) < t:  # clustered: long shared prefixes
-                        low = rng.getrandbits(rng.randint(1, max(3, width // 4)))
-                        keys.add(base ^ low if clustered else rng.getrandbits(width))
-                    keys = sorted(keys)
-                    n = FusionNode(keys, width=width, cap=8, strategy=strategy)
-                    probes = {0, top} | {min(top, max(0, k + d)) for k in keys
-                                         for d in (-1, 1)}
-                    for x in probes:
-                        ops, trace = OpCounters(), {}
-                        answer = n.locate(x, ops, trace)
-                        assert answer == (bisect_right(keys, x), x in keys)
-                        path = _exit(n, x, answer, trace)
-                        c = trace["count"]
-                        # pass 1, the xor compare if it ran, and the exit's 4
-                        exit_charge = trace["word_ops"] + 3 * (0 < c < t) + 4
-                        if path.startswith("neighbour exit"):
-                            assert ops.word_ops == exit_charge, (keys, x)
-                            assert not answer[1]
-                            taken[path] += 1
-                        elif not answer[1]:  # pass 2 ran
-                            assert ops.word_ops > exit_charge, (keys, x)
-    assert set(taken) == {"neighbour exit up", "neighbour exit down",
-                          "neighbour exit up past the last key",
-                          "neighbour exit down to rank 0"}, taken
-
-
-def test_far_end_exit_is_exact():
-    # past the neighbour test, a visit whose run reaches the last key
-    # (going up) or the first (going down) ends at rank t or 0, as
-    # bisect_right gives, charged 2 word ops on top of the neighbour
-    # test's 4; every visit that still runs pass 2 ranks strictly inside
-    # the node, so pass 2 needs no saturation exit and no zero-survivor
-    # branch.  The exit's `<` against `<=` is not tested: the two differ
-    # only if the far key's xor equals x ^ s, so the far key is x, and
-    # pass 1 already returns a stored x as a member.
-    rng = random.Random(PIN_SEED + 4)
-    taken = Counter()
+def _clustered_nodes(rng):
+    """24 nodes per width, strategy and t = 2..8, alternately of random
+    keys and of keys sharing long prefixes, each with its probes: both
+    ends of the word, the keys' neighbours and 4 random words."""
     for width in WIDTHS:
         top = (1 << width) - 1
         for strategy in (EXACT, MULTIPLICATIVE):
@@ -487,26 +416,68 @@ def test_far_end_exit_is_exact():
                     probes = {0, top} | {min(top, max(0, k + d)) for k in keys
                                          for d in (-1, 1)}
                     probes.update(rng.getrandbits(width) for _ in range(4))
-                    for x in probes:
-                        ops, trace = OpCounters(), {}
-                        answer = n.locate(x, ops, trace)
-                        rank = bisect_right(keys, x)
-                        assert answer == (rank, x in keys), (keys, x)
-                        path = _exit(n, x, answer, trace)
-                        c = trace["count"]
-                        # pass 1, the xor compare if it ran, the neighbour
-                        # test's 4 and the far-end test's 2
-                        exit_charge = trace["word_ops"] + 3 * (0 < c < t) + 4 + 2
-                        if path.startswith("far-end exit"):
-                            assert rank == (t if x > trace["selected"] else 0)
-                            assert ops.word_ops == exit_charge, (keys, x)
-                            # the probe compare if c < t, the membership
-                            # compare if the rank is nonzero
-                            assert ops.key_compares == (c < t) + (rank > 0), (keys, x)
-                        elif path.startswith("pass 2"):
-                            assert 0 < rank < t, (keys, x)
-                            assert ops.word_ops > exit_charge, (keys, x)
-                        taken[path] += 1
+                    yield n, keys, probes
+
+
+def test_neighbour_exit_is_exact():
+    # a visit whose selected key's neighbour on x's side branches from it
+    # above the fall-off bit (or is missing) ends after pass 1, at the
+    # rank bisect_right gives; every other non-member visit goes on to the
+    # far-end test, and maybe pass 2, and is charged more
+    taken = Counter()
+    for n, keys, probes in _clustered_nodes(random.Random(PIN_SEED + 3)):
+        t = len(keys)
+        for x in probes:
+            ops, trace = OpCounters(), {}
+            answer = n.locate(x, ops, trace)
+            assert answer == (bisect_right(keys, x), x in keys)
+            path = exit_path(n, x, answer, trace)
+            c = trace["count"]
+            # pass 1, the xor compare if it ran, and the exit's 4
+            exit_charge = trace["word_ops"] + 3 * (0 < c < t) + 4
+            if path.startswith("neighbour exit"):
+                assert ops.word_ops == exit_charge, (keys, x)
+                assert not answer[1]
+                taken[path] += 1
+            elif not answer[1]:  # the far-end test ran, and maybe pass 2
+                assert ops.word_ops > exit_charge, (keys, x)
+    assert set(taken) == {"neighbour exit up", "neighbour exit down",
+                          "neighbour exit up past the last key",
+                          "neighbour exit down to rank 0"}, taken
+
+
+def test_far_end_exit_is_exact():
+    # past the neighbour test, a visit whose run reaches the last key
+    # (going up) or the first (going down) ends at rank t or 0, as
+    # bisect_right gives, charged 2 word ops on top of the neighbour
+    # test's 4; every visit that still runs pass 2 ranks strictly inside
+    # the node, so pass 2 needs no saturation exit and no zero-survivor
+    # branch.  The exit's `<` against `<=` is not tested: the two differ
+    # only if the far key's xor equals x ^ s, so the far key is x, and
+    # pass 1 already returns a stored x as a member.
+    taken = Counter()
+    for n, keys, probes in _clustered_nodes(random.Random(PIN_SEED + 4)):
+        t = len(keys)
+        for x in probes:
+            ops, trace = OpCounters(), {}
+            answer = n.locate(x, ops, trace)
+            rank = bisect_right(keys, x)
+            assert answer == (rank, x in keys), (keys, x)
+            path = exit_path(n, x, answer, trace)
+            c = trace["count"]
+            # pass 1, the xor compare if it ran, the neighbour test's 4
+            # and the far-end test's 2
+            exit_charge = trace["word_ops"] + 3 * (0 < c < t) + 4 + 2
+            if path.startswith("far-end exit"):
+                assert rank == (t if x > trace["selected"] else 0)
+                assert ops.word_ops == exit_charge, (keys, x)
+                # the probe compare if c < t, the membership compare if
+                # the rank is nonzero
+                assert ops.key_compares == (c < t) + (rank > 0), (keys, x)
+            elif path.startswith("pass 2"):
+                assert 0 < rank < t, (keys, x)
+                assert ops.word_ops > exit_charge, (keys, x)
+            taken[path] += 1
     assert {"far-end exit up to the last key", "far-end exit down to rank 0",
             "pass 2 up", "pass 2 down"} <= set(taken), taken
 

